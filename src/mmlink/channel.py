@@ -11,6 +11,7 @@ decorrelation by the velocity.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -43,6 +44,11 @@ class LosGeometry:
         return self.doppler_sub6_hz if band_id == Band.SUB6 else self.doppler_mmw_hz
 
 
+def velocity_mps_to_max_doppler(velocity_mps: float, band: BandConfig) -> float:
+    """Maximum Doppler shift v / wavelength of a receiver moving at v."""
+    return velocity_mps / band.wavelength_m
+
+
 def sample_geometry(
     rng: np.random.Generator,
     sub6: BandConfig,
@@ -65,8 +71,8 @@ def sample_geometry(
         aoa_rad=aoa,
         chi_sub6_rad=chi_s,
         chi_mmw_rad=chi_m,
-        doppler_sub6_hz=velocity_mps / sub6.wavelength_m * cos_aoa,
-        doppler_mmw_hz=velocity_mps / mmw.wavelength_m * cos_aoa,
+        doppler_sub6_hz=velocity_mps_to_max_doppler(velocity_mps, sub6) * cos_aoa,
+        doppler_mmw_hz=velocity_mps_to_max_doppler(velocity_mps, mmw) * cos_aoa,
     )
 
 
@@ -78,15 +84,6 @@ def steering_vector(
         raise ValueError("n_elements must be >= 1")
     m = np.arange(n_elements)
     return np.exp(-2j * np.pi * m * spacing_wavelengths * np.sin(angle_rad))
-
-
-def free_space_channel(
-    geom: LosGeometry, band: BandConfig, symbol_k: int
-) -> np.ndarray:
-    """Rank-1 LOS channel matrix at (1-based) OFDM symbol index k."""
-    if not 1 <= symbol_k <= band.n_symbols_total:
-        raise ValueError(f"symbol index {symbol_k} outside [1, {band.n_symbols_total}]")
-    return los_sequence(geom, band, np.array([symbol_k]))[:, :, 0]
 
 
 def los_sequence(
@@ -120,9 +117,13 @@ class TdlProfile:
         return float(np.sqrt(max(second - mean**2, 0.0)))
 
 
+# Taps of the delay profile, and sinusoids per Jakes fading process.
+N_TAPS = 12
+N_SINUSOIDS = 32
 # Power share of the zero-delay tap, mirroring the dominant specular
-# cluster of an urban-macro LOS delay profile.
-DEFAULT_SPECULAR_FRACTION = 0.5
+# cluster of an urban-macro LOS delay profile. In synthesize_band the
+# specular ray carries all of it.
+SPECULAR_FRACTION = 0.5
 # Near-cluster span and decay constant, and the far echo's delay and
 # power share, all relative to the target RMS delay spread. The far echo
 # sets a pattern-independent estimation floor; the near cluster controls
@@ -135,8 +136,8 @@ _FAR_POWER = 0.10
 
 def make_tdl_profile(
     rms_delay_spread_s: float,
-    n_taps: int = 12,
-    specular_fraction: float = DEFAULT_SPECULAR_FRACTION,
+    n_taps: int = N_TAPS,
+    specular_fraction: float = SPECULAR_FRACTION,
 ) -> TdlProfile:
     """Clustered PDP: specular zero-delay tap, exponential near cluster,
     one far echo.
@@ -177,12 +178,11 @@ class JakesProcess:
     """Sum-of-sinusoids fading generator for a grid of independent links.
 
     Each leading-axes element is an independent unit-power process built
-    from n_sinusoids plane waves with uniformly random arrival angles and
+    from N_SINUSOIDS plane waves with uniformly random arrival angles and
     phases. At zero Doppler the process degenerates to a random constant.
     """
 
-    max_doppler_hz: float
-    omega: np.ndarray  # angular Doppler per sinusoid, shape (*links, n_sinusoids)
+    omega: np.ndarray  # angular Doppler per sinusoid, shape (*links, N_SINUSOIDS)
     phases: np.ndarray
 
     @classmethod
@@ -191,48 +191,18 @@ class JakesProcess:
         link_shape: tuple[int, ...],
         max_doppler_hz: float,
         rng: np.random.Generator,
-        n_sinusoids: int = 32,
     ) -> "JakesProcess":
-        shape = tuple(link_shape) + (n_sinusoids,)
+        shape = tuple(link_shape) + (N_SINUSOIDS,)
         arrival = rng.uniform(0.0, 2.0 * np.pi, size=shape)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=shape)
         omega = 2.0 * np.pi * max_doppler_hz * np.cos(arrival)
-        return cls(max_doppler_hz=max_doppler_hz, omega=omega, phases=phases)
-
-    @property
-    def n_sinusoids(self) -> int:
-        return self.omega.shape[-1]
+        return cls(omega=omega, phases=phases)
 
     def gains(self, times_s: np.ndarray) -> np.ndarray:
         """Complex gains at the given times, shape (*links, len(times))."""
         t = np.asarray(times_s, dtype=np.float64)
         arg = self.omega[..., :, None] * t + self.phases[..., :, None]
-        return np.exp(1j * arg).sum(axis=-2) / np.sqrt(self.n_sinusoids)
-
-
-def jakes_autocorrelation(
-    jakes: JakesProcess,
-    lags_s: np.ndarray,
-    n_samples: int = 512,
-    sample_spacing_s: float | None = None,
-) -> np.ndarray:
-    """Empirical autocorrelation of one process draw at the given lags.
-
-    The reference curve is J0(2 pi nu_max tau); matching it to within a
-    few percent requires averaging over many independent draws.
-    """
-    lags = np.asarray(lags_s, dtype=np.float64)
-    if sample_spacing_s is None:
-        max_lag = float(lags.max()) if lags.size else 0.0
-        sample_spacing_s = max_lag / 8.0 if max_lag > 0 else 1.0
-    times = np.arange(n_samples) * sample_spacing_s
-    base = jakes.gains(times)
-    power = np.mean(np.abs(base) ** 2, axis=-1)
-    out = np.empty(lags.shape, dtype=np.float64)
-    for i, lag in enumerate(lags):
-        shifted = jakes.gains(times + lag)
-        out[i] = np.real(np.mean(base * np.conj(shifted), axis=-1) / power)
-    return out
+        return np.exp(1j * arg).sum(axis=-2) / np.sqrt(N_SINUSOIDS)
 
 
 @dataclass(frozen=True)
@@ -257,7 +227,6 @@ def sample_specular_tap(
     rng: np.random.Generator,
     band: BandConfig,
     velocity_mps: float,
-    power_fraction: float,
 ) -> SpecularTap:
     """Draw a random reflector ray for one band.
 
@@ -268,11 +237,11 @@ def sample_specular_tap(
     aoa = rng.uniform(-np.pi / 2, np.pi / 2)
     phase = rng.uniform(-np.pi, np.pi)
     return SpecularTap(
-        power_fraction=power_fraction,
+        power_fraction=SPECULAR_FRACTION,
         aod_rad=aod,
         aoa_rad=aoa,
         phase_rad=phase,
-        doppler_hz=velocity_mps / band.wavelength_m * np.cos(aoa),
+        doppler_hz=velocity_mps_to_max_doppler(velocity_mps, band) * np.cos(aoa),
     )
 
 
@@ -350,9 +319,6 @@ def synthesize_band(
     band_id: Band,
     geom: LosGeometry,
     stochastic_rng: np.random.Generator,
-    n_taps: int = 12,
-    n_sinusoids: int = 32,
-    specular_fraction: float = DEFAULT_SPECULAR_FRACTION,
 ) -> ChannelTensor:
     """Build the full channel tensor for one band over its whole frame.
 
@@ -365,17 +331,14 @@ def synthesize_band(
     n_symbols = band.n_symbols_total
     static = cfg.velocity_mps == 0.0
     symbols = np.array([1]) if static else np.arange(1, n_symbols + 1)
-    profile = make_tdl_profile(band.rms_delay_spread_s, n_taps, specular_fraction)
+    profile = make_tdl_profile(band.rms_delay_spread_s)
     specular = None
-    if profile.n_taps > 1 and specular_fraction > 0:
-        specular = sample_specular_tap(
-            stochastic_rng, band, cfg.velocity_mps, specular_fraction
-        )
+    if profile.n_taps > 1:
+        specular = sample_specular_tap(stochastic_rng, band, cfg.velocity_mps)
     jakes = JakesProcess.sample(
         (band.m_rx, band.m_tx, profile.n_taps),
         velocity_mps_to_max_doppler(cfg.velocity_mps, band),
         stochastic_rng,
-        n_sinusoids,
     )
     sp = stochastic_channel(profile, band, jakes, symbols, specular)
     los = los_sequence(geom, band, symbols)
@@ -383,10 +346,6 @@ def synthesize_band(
     if static:
         data = np.broadcast_to(data, data.shape[:3] + (n_symbols,))
     return ChannelTensor(band_id=band_id, data=data)
-
-
-def velocity_mps_to_max_doppler(velocity_mps: float, band: BandConfig) -> float:
-    return velocity_mps / band.wavelength_m
 
 
 def dump_channel_tensor(tensor: ChannelTensor, path: str) -> None:
@@ -408,5 +367,11 @@ def load_channel_tensor(path: str) -> ChannelTensor:
         dims = struct.unpack("<4I", header[8:24])
         band = Band(header[24:32].rstrip(b"\x00").decode("ascii"))
         payload = fh.read()
+    expected = 8 * math.prod(dims)  # complex64 entries
+    if len(payload) != expected:
+        raise ValueError(
+            f"payload has {len(payload)} bytes but header dims {dims} "
+            f"need {expected}"
+        )
     data = np.frombuffer(payload, dtype="<c8").reshape(dims)
     return ChannelTensor(band_id=band, data=data.astype(np.complex128))

@@ -72,7 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("MMLINK_WORKERS", "1")),
+        # a string default goes through type=int like a command-line value,
+        # so a bad $MMLINK_WORKERS is a usage error (exit 2), not a traceback
+        default=os.environ.get("MMLINK_WORKERS", "1"),
         help="parallel worker processes (default $MMLINK_WORKERS or 1)",
     )
     run.add_argument("--seed", type=int, help="override the master seed")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .core import Band
-from .estimation import ChannelEstimate, EstimateSource
+from .estimation import ChannelEstimate
 
 
 def compute_weight(
@@ -36,13 +36,5 @@ def combine_mrc(
     if oob.band_id != Band.MMWAVE or inband.band_id != Band.MMWAVE:
         raise ValueError("combining applies to the mmWave band")
     data = weight * oob.data + (1.0 - weight) * inband.data
-    return ChannelEstimate(
-        band_id=Band.MMWAVE, data=data, source=EstimateSource.COMBINED
-    )
+    return ChannelEstimate(band_id=Band.MMWAVE, data=data)
 
-
-def conventional_estimate(inband: ChannelEstimate) -> ChannelEstimate:
-    """Identity pass-through: the design uses only the in-band estimate."""
-    if inband.band_id != Band.MMWAVE:
-        raise ValueError("conventional estimation applies to the mmWave band")
-    return inband

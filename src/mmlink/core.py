@@ -103,6 +103,24 @@ class SimConfig:
         return self.band(band_id).tx_power_watt / db_to_linear(self.snr_db(band_id))
 
 
+def comb_tiling_errors(band: BandConfig, k_p: int) -> list[str]:
+    """Violations of the comb pilot layout: K_P must divide each array
+    size M, and the comb group size M/K_P must divide the subcarrier count,
+    so the layout tiles the band in both link directions."""
+    out = []
+    for m, role in ((band.m_tx, "m_tx"), (band.m_rx, "m_rx")):
+        if m < 1 or k_p < 1:
+            continue
+        if m % k_p != 0:
+            out.append(f"K_P must divide {role} ({k_p} does not divide {m})")
+        elif band.n_subcarriers % (m // k_p) != 0:
+            out.append(
+                f"comb group size {role}/K_P = {m // k_p} must divide "
+                f"n_subcarriers = {band.n_subcarriers}"
+            )
+    return out
+
+
 def _validate_band(band: BandConfig, k_p: int, out: list[str]) -> None:
     b = band.band_id.value
     if band.carrier_freq_hz <= 0:
@@ -127,16 +145,7 @@ def _validate_band(band: BandConfig, k_p: int, out: list[str]) -> None:
             f"exactly ({band.n_subcarriers} * {band.subcarrier_spacing_hz:g} != "
             f"{band.bandwidth_hz:g})"
         )
-    # Comb pilot layout must tile the band in both link directions.
-    for m, role in ((band.m_tx, "m_tx"), (band.m_rx, "m_rx")):
-        if m >= 1 and k_p >= 1:
-            if m % k_p != 0:
-                out.append(f"[{b}] K_P must divide {role} ({k_p} does not divide {m})")
-            elif band.n_subcarriers % (m // k_p) != 0:
-                out.append(
-                    f"[{b}] comb group size {role}/K_P = {m // k_p} must divide "
-                    f"n_subcarriers = {band.n_subcarriers}"
-                )
+    out.extend(f"[{b}] {v}" for v in comb_tiling_errors(band, k_p))
 
 
 def validate_config(cfg: SimConfig) -> list[str]:

@@ -11,7 +11,6 @@ across bands and cannot transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -20,20 +19,12 @@ from .pilots import FORWARD, PilotGrid, TrainingObservations
 from .channel import steering_vector
 
 
-class EstimateSource(str, Enum):
-    INBAND_LS = "inband_ls"
-    OOB_AIDED = "oob_aided"
-    COMBINED = "combined"
-    PERFECT = "perfect"
-
-
 @dataclass(frozen=True)
 class ChannelEstimate:
     """Time-invariant per-subcarrier channel estimate (m_rx, m_tx, N)."""
 
     band_id: Band
     data: np.ndarray
-    source: EstimateSource
 
 
 def _interp_comb(
@@ -75,9 +66,7 @@ def ls_estimate(
         est[:, t, :] = _interp_comb(raw, pilots, n)
     if direction != FORWARD:
         est = est.transpose(1, 0, 2)
-    return ChannelEstimate(
-        band_id=band.band_id, data=est, source=EstimateSource.INBAND_LS
-    )
+    return ChannelEstimate(band_id=band.band_id, data=est)
 
 
 def estimate_k_factor(est: ChannelEstimate) -> float:
@@ -115,23 +104,27 @@ def _refine_peak(values: np.ndarray, index: int, step: float) -> float:
     return float(np.clip(delta, -0.5, 0.5)) * step
 
 
-def estimate_angles(
-    est: ChannelEstimate, grid_resolution: int = 181
-) -> tuple[float, float]:
+# Points of the uniform angle grid over [-90, 90] degrees (1-degree steps).
+_ANGLE_GRID_POINTS = 181
+
+
+def estimate_angles(est: ChannelEstimate, band: BandConfig) -> tuple[float, float]:
     """LOS departure/arrival angles from the beamforming spectrum peak.
 
     Maximizes S(aod, aoa) = sum_n |a_rx(aoa)^H H[n] a_tx(aod)|^2 over a
     uniform angle grid in [-90, 90] degrees, then refines each axis with
-    one parabolic fit. Global phase rotations of the estimate do not
-    affect the result.
+    one parabolic fit. The steering vectors use the band's element
+    spacing. Global phase rotations of the estimate do not affect the
+    result.
     """
     h = est.data
     m_rx, m_tx, _ = h.shape
-    angles = np.linspace(-np.pi / 2, np.pi / 2, grid_resolution)
+    d = band.element_spacing_wavelengths
+    angles = np.linspace(-np.pi / 2, np.pi / 2, _ANGLE_GRID_POINTS)
     step = angles[1] - angles[0]
-    # columns of a_* over the angle grid; spacing fixed at half wavelength
-    a_tx = np.stack([steering_vector(m_tx, 0.5, a) for a in angles], axis=1)
-    a_rx = np.stack([steering_vector(m_rx, 0.5, a) for a in angles], axis=1)
+    # columns of a_* over the angle grid
+    a_tx = np.stack([steering_vector(m_tx, d, a) for a in angles], axis=1)
+    a_rx = np.stack([steering_vector(m_rx, d, a) for a in angles], axis=1)
     # beamform the tx side once, then evaluate an rx-side quadratic form
     # on the per-tx-angle covariance, batched over the tx grid
     b = np.tensordot(h, a_tx, axes=([1], [0]))  # (m_rx, N, R)
@@ -173,8 +166,4 @@ def oob_aided_estimate(
     )
     n = h.shape[2]
     data = np.broadcast_to(gain * atom[:, :, None], atom.shape + (n,))
-    return ChannelEstimate(
-        band_id=band_mmw.band_id,
-        data=np.ascontiguousarray(data),
-        source=EstimateSource.OOB_AIDED,
-    )
+    return ChannelEstimate(band_id=band_mmw.band_id, data=np.ascontiguousarray(data))

@@ -1,4 +1,4 @@
-"""Channel gain, estimation-error covariance, per-stream SINR and SE."""
+"""Per-stream SINR and spectral efficiency of a link design over the true channel."""
 
 from __future__ import annotations
 
@@ -17,37 +17,18 @@ class SeResult:
     sinr: np.ndarray | None = None  # (N, K_D, L) diagnostic
 
 
-def gain_matrix(
-    h: np.ndarray, combiner: np.ndarray, precoder: np.ndarray, power: np.ndarray
-) -> np.ndarray:
-    """Effective stream coupling Q^H H F P^(1/2) for one (n, k) cell."""
-    return combiner.conj().T @ h @ (precoder * np.sqrt(power)[None, :])
-
-
-def error_covariance(g_perfect: np.ndarray, g_est: np.ndarray) -> np.ndarray:
-    """Per-stream diagonal of (1/L) eps eps^H with eps = G - G_bar.
-
-    Accepts stacked (..., L, L) gain matrices; the result drops the last
-    axis. Entries are real and nonnegative.
-    """
-    if g_perfect.shape != g_est.shape:
-        raise ValueError("gain matrices must have matching shapes")
-    eps = g_perfect - g_est
-    n_streams = eps.shape[-1]
-    return np.sum(np.abs(eps) ** 2, axis=-1) / n_streams
-
-
 def sinr_per_stream(
     g: np.ndarray,
     combiner: np.ndarray,
     sigma_mu_sq: np.ndarray,
     noise_power: float,
 ) -> np.ndarray:
-    """Effective SINR per stream for one gain matrix.
+    """Effective SINR per stream for stacked (..., L, L) gain matrices.
 
     Numerator |G_mm|^2; denominator is the off-diagonal row leakage plus
     (sigma_mu^2 + sigma_w^2) * ||Q_col||^2 (unit norm for semi-unitary
-    combiners).
+    combiners). sigma_mu_sq is the per-stream estimation-error variance,
+    the diagonal of (1/L) eps eps^H with eps = G_perfect - G.
     """
     diag = np.diagonal(g, axis1=-2, axis2=-1)
     row_sq = np.sum(np.abs(g) ** 2, axis=-1)
@@ -94,29 +75,20 @@ def evaluate_link(
     estimation-error variance compares the achieved gain matrix against
     the one a per-symbol perfect design would achieve.
     """
-    n_streams = design.n_streams
     fp = design.precoder * np.sqrt(design.power)[:, None, :]  # (N, m_tx, L)
     ht = np.ascontiguousarray(h_data.transpose(2, 3, 0, 1))  # (N, K_D, m_rx, m_tx)
     hf = ht @ fp[:, None, :, :]  # (N, K_D, m_rx, L)
     qh = design.combiner.conj().transpose(0, 2, 1)  # (N, L, m_rx)
     g = qh[:, None, :, :] @ hf  # (N, K_D, L, L)
 
+    # The perfect design's gain matrix is diagonal, so eps = diag(perf) - g
+    # equals -g off the diagonal: row m of |eps|^2 sums to |perf_m - g_mm|^2
+    # plus the leakage of row m of g, with no other term.
     diag = np.diagonal(g, axis1=-2, axis2=-1)
-    row_sq = np.sum(np.abs(g) ** 2, axis=-1)
-    diag_sq = np.abs(diag) ** 2
-    interference = np.clip(row_sq - diag_sq, 0.0, None)
-
+    leakage = np.clip(np.sum(np.abs(g) ** 2, axis=-1) - np.abs(diag) ** 2, 0.0, None)
     perf_diag = perfect_gain_diagonals(h_data, design.p_total, noise_power)
-    # eps = diag(perf) - g differs from g only on the diagonal
-    sigma_mu_sq = (np.abs(perf_diag - diag) ** 2 + interference) / n_streams
+    sigma_mu_sq = (np.abs(perf_diag - diag) ** 2 + leakage) / design.n_streams
 
-    q_norm_sq = np.sum(np.abs(design.combiner) ** 2, axis=1)  # (N, L)
-    denom = interference + (sigma_mu_sq + noise_power) * q_norm_sq[:, None, :]
-    sinr = diag_sq / denom
+    sinr = sinr_per_stream(g, design.combiner[:, None], sigma_mu_sq, noise_power)
     return spectral_efficiency(sinr)
 
-
-def closed_form_se(design: LinkDesign, noise_power: float) -> float:
-    """Water-filling SE when the design matches the channel exactly."""
-    gains = design.power * design.singular_values**2 / noise_power
-    return float(np.sum(np.log2(1.0 + gains)) / design.power.shape[0])

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,7 +55,6 @@ class SweepRecord:
     se_mean: float
     se_stderr: float
     n_realizations: int
-    wall_time_s: float
 
 
 def apply_point(base: SimConfig, point: dict) -> SimConfig:
@@ -121,11 +119,7 @@ def run_realization(cfg: SimConfig, realization: int) -> float:
     method = cfg.estimation_method
 
     if method == Method.PERFECT:
-        est = estimation.ChannelEstimate(
-            band_id=Band.MMWAVE,
-            data=h_mmw.data[:, :, :, first_data],
-            source=estimation.EstimateSource.PERFECT,
-        )
+        est = estimation.ChannelEstimate(Band.MMWAVE, h_mmw.data[:, :, :, first_data])
     else:
         grid_mmw = pilots.build_pilot_grid(
             cfg.mmw, k_p, tree.rng(realization, "mmw", "pilots")
@@ -135,7 +129,7 @@ def run_realization(cfg: SimConfig, realization: int) -> float:
         )
         inband = estimation.ls_estimate(obs_mmw, grid_mmw, cfg.mmw)
         if method == Method.CONVENTIONAL:
-            est = combining.conventional_estimate(inband)
+            est = inband
         else:
             h_sub6 = ch.synthesize_band(
                 cfg, Band.SUB6, geom, tree.rng(realization, "sub6", "stochastic")
@@ -151,7 +145,7 @@ def run_realization(cfg: SimConfig, realization: int) -> float:
             )
             inband_sub6 = estimation.ls_estimate(obs_sub6, grid_sub6, cfg.sub6)
             kappa = estimation.estimate_k_factor(inband_sub6)
-            angles = estimation.estimate_angles(inband_sub6)
+            angles = estimation.estimate_angles(inband_sub6, cfg.sub6)
             # The LOS gain/phase comes from the freshest in-band pilots:
             # the last reverse-direction symbol, one symbol before the
             # data phase for every pilot pattern. This keeps the aging of
@@ -188,9 +182,8 @@ def _init_worker(configs: tuple[SimConfig, ...]) -> None:
     _WORKER_CONFIGS = configs
 
 
-def _run_task(task: tuple[int, int]) -> tuple[int, int, float, float]:
+def _run_task(task: tuple[int, int]) -> tuple[int, int, float]:
     pt_idx, r = task
-    start = time.perf_counter()
     try:
         se = run_realization(_WORKER_CONFIGS[pt_idx], r)
     except Exception as exc:
@@ -198,7 +191,7 @@ def _run_task(task: tuple[int, int]) -> tuple[int, int, float, float]:
             f"realization {r} failed at point "
             f"{point_columns(_WORKER_CONFIGS[pt_idx])}: {exc}"
         ) from exc
-    return pt_idx, r, se, time.perf_counter() - start
+    return pt_idx, r, se
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
@@ -224,23 +217,22 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     n_real = spec.base.n_realizations
     tasks = [(i, r) for i in range(len(configs)) for r in range(n_real)]
 
-    results: dict[tuple[int, int], tuple[float, float]] = {}
+    results: dict[tuple[int, int], float] = {}
     if workers <= 1:
         _init_worker(configs)
         for task in tasks:
-            pt_idx, r, se, dt = _run_task(task)
-            results[(pt_idx, r)] = (se, dt)
+            pt_idx, r, se = _run_task(task)
+            results[(pt_idx, r)] = se
     else:
         ctx = multiprocessing.get_context()
         with ctx.Pool(workers, initializer=_init_worker, initargs=(configs,)) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
-            for pt_idx, r, se, dt in pool.imap_unordered(_run_task, tasks, chunk):
-                results[(pt_idx, r)] = (se, dt)
+            for pt_idx, r, se in pool.imap_unordered(_run_task, tasks, chunk):
+                results[(pt_idx, r)] = se
 
     records = []
     for i, cfg in enumerate(configs):
-        ses = np.array([results[(i, r)][0] for r in range(n_real)])
-        wall = float(sum(results[(i, r)][1] for r in range(n_real)))
+        ses = np.array([results[(i, r)] for r in range(n_real)])
         stderr = float(np.std(ses, ddof=1) / np.sqrt(n_real)) if n_real > 1 else 0.0
         records.append(
             SweepRecord(
@@ -248,7 +240,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
                 se_mean=float(np.mean(ses)),
                 se_stderr=stderr,
                 n_realizations=n_real,
-                wall_time_s=wall,
             )
         )
     return records

@@ -12,20 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BandConfig
+from .core import BandConfig, comb_tiling_errors
 
 FORWARD = "forward"
 REVERSE = "reverse"
-
-
-def _check_divisibility(m: int, k_p: int, n_subcarriers: int, role: str) -> None:
-    if m % k_p != 0:
-        raise ValueError(f"K_P must divide {role} ({k_p} does not divide {m})")
-    if n_subcarriers % (m // k_p) != 0:
-        raise ValueError(
-            f"comb group size {role}/K_P = {m // k_p} must divide "
-            f"n_subcarriers = {n_subcarriers}"
-        )
 
 
 def _qpsk(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -57,9 +47,6 @@ class PilotGrid:
     def n_antennas(self, direction: str) -> int:
         return self.m_fwd if direction == FORWARD else self.m_rev
 
-    def values(self, direction: str) -> np.ndarray:
-        return self.values_fwd if direction == FORWARD else self.values_rev
-
     def antenna_symbol(self, antenna: int, direction: str) -> int:
         """Absolute 0-based training-symbol index used by this antenna."""
         group = antenna // self.group_size(direction)
@@ -90,11 +77,12 @@ def build_pilot_grid(
     band: BandConfig, k_p: int, rng: np.random.Generator
 ) -> PilotGrid:
     """Construct the pilot grid for one band; values are seeded QPSK."""
-    if k_p < 1:
-        raise ValueError("K_P must be >= 1")
+    if min(k_p, band.m_tx, band.m_rx, band.n_subcarriers) < 1:
+        raise ValueError("K_P, the antenna counts and n_subcarriers must be >= 1")
+    violations = comb_tiling_errors(band, k_p)
+    if violations:
+        raise ValueError(violations[0])
     n = band.n_subcarriers
-    _check_divisibility(band.m_tx, k_p, n, "m_tx")
-    _check_divisibility(band.m_rx, k_p, n, "m_rx")
     values_fwd = _qpsk(rng, (band.m_tx, n // (band.m_tx // k_p)))
     values_rev = _qpsk(rng, (band.m_rx, n // (band.m_rx // k_p)))
     return PilotGrid(
@@ -105,16 +93,6 @@ def build_pilot_grid(
         values_fwd=values_fwd,
         values_rev=values_rev,
     )
-
-
-def pilot_overhead(grid: PilotGrid, band: BandConfig) -> float:
-    """Fraction of the frame spent on training (both directions)."""
-    k = band.n_symbols_total
-    if k <= 2 * grid.k_p:
-        raise ValueError(
-            f"no data symbols remain: K = {k} <= 2*K_P = {2 * grid.k_p}"
-        )
-    return 2.0 * grid.k_p / k
 
 
 @dataclass(frozen=True)

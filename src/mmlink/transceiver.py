@@ -26,7 +26,6 @@ class LinkDesign:
     power: np.ndarray  # (N, L)
     dead: np.ndarray  # (N,) bool, True when the estimate was all-zero
     p_total: float
-    noise_power: float
 
     @property
     def n_streams(self) -> int:
@@ -94,39 +93,5 @@ def design_link(
         power=power,
         dead=dead,
         p_total=p_total,
-        noise_power=noise_power,
     )
 
-
-def transmit_data(
-    H: np.ndarray,
-    design: LinkDesign,
-    payload: np.ndarray,
-    noise_power: float,
-    rng: np.random.Generator,
-    first_data_symbol: int,
-) -> np.ndarray:
-    """Receive-side streams for the data phase, shape (L, N, K_D).
-
-    y[:, n, k] = Q[n]^H H[n, k_abs] F[n] P[n]^(1/2) x[:, n, k] + Q[n]^H w
-    where k_abs = first_data_symbol + k indexes the true time-varying
-    channel; the design stays frozen from training.
-    """
-    m_rx, m_tx, n_sc, n_sym = H.shape
-    n_streams, n_sc_p, k_d = payload.shape
-    if n_sc_p != n_sc or n_streams != design.n_streams:
-        raise ValueError("payload dims must be (L, N, K_D)")
-    if first_data_symbol + k_d > n_sym:
-        raise ValueError("data phase runs past the channel tensor")
-    fp = design.precoder * np.sqrt(design.power)[:, None, :]  # (N, m_tx, L)
-    h_data = H[:, :, :, first_data_symbol : first_data_symbol + k_d]
-    # effective stream channel Q^H H F P^{1/2} per (n, k)
-    hf = np.einsum("rtnk,ntl->nkrl", h_data, fp)
-    eff = np.einsum("nrm,nkrl->nkml", np.conj(design.combiner), hf)
-    y = np.einsum("nkml,lnk->mnk", eff, payload)
-    noise = np.sqrt(noise_power / 2.0) * (
-        rng.standard_normal((m_rx, n_sc, k_d))
-        + 1j * rng.standard_normal((m_rx, n_sc, k_d))
-    )
-    y += np.einsum("nrm,rnk->mnk", np.conj(design.combiner), noise)
-    return y

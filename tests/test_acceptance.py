@@ -17,18 +17,18 @@ from mmlink.core import Band, Method, SeedTree, default_config
 from mmlink import channel as ch
 from mmlink.cli import main
 from mmlink.combining import compute_weight
-from mmlink.estimation import ChannelEstimate, EstimateSource
-from mmlink.metrics import (
-    closed_form_se,
-    error_covariance,
-    gain_matrix,
-    sinr_per_stream,
-    spectral_efficiency,
-)
+from mmlink.estimation import ChannelEstimate
+from mmlink.metrics import sinr_per_stream, spectral_efficiency
 from mmlink.montecarlo import SweepSpec, run_realization, run_sweep
 from mmlink.transceiver import design_link, waterfill_power
 
-from test_transceiver import waterfill_bisection
+from oracles import (
+    closed_form_se,
+    error_covariance,
+    gain_matrix,
+    jakes_autocorrelation,
+    waterfill_bisection,
+)
 
 WORKERS = min(2, os.cpu_count() or 1)
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -107,7 +107,7 @@ def test_criterion_2_jakes_autocorrelation():
         jakes = ch.JakesProcess.sample(
             (), nu_max, np.random.Generator(np.random.PCG64(seed))
         )
-        acc += ch.jakes_autocorrelation(jakes, lags)
+        acc += jakes_autocorrelation(jakes, lags)
     acc /= n_draws
     ref = j0(2.0 * np.pi * nt)
     err = np.abs(acc - ref)
@@ -273,9 +273,7 @@ def test_criterion_9_perfect_csi_closed_form():
         h = ch.synthesize_band(
             cfg, Band.MMWAVE, geom, tree.rng(r, "mmw", "stochastic")
         )
-        est = ChannelEstimate(
-            Band.MMWAVE, h.data[:, :, :, 4], EstimateSource.PERFECT
-        )
+        est = ChannelEstimate(Band.MMWAVE, h.data[:, :, :, 4])
         design = design_link(est, cfg.mmw.tx_power_watt, cfg.noise_power(Band.MMWAVE))
         analytic = closed_form_se(design, cfg.noise_power(Band.MMWAVE))
         assert se_pipeline == pytest.approx(analytic, abs=1e-9), f"realization {r}"

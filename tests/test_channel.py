@@ -12,9 +12,8 @@ from mmlink.channel import (
     SpecularTap,
     compose_channel,
     dump_channel_tensor,
-    free_space_channel,
-    jakes_autocorrelation,
     load_channel_tensor,
+    los_sequence,
     make_tdl_profile,
     sample_geometry,
     steering_vector,
@@ -23,6 +22,7 @@ from mmlink.channel import (
 )
 
 from conftest import make_band, make_config
+from oracles import jakes_autocorrelation
 
 
 def make_geom(aod=0.0, aoa=0.0, chi_s=0.0, chi_m=0.0, nu_s=0.0, nu_m=0.0):
@@ -65,13 +65,13 @@ class TestSteeringVector:
 class TestFreeSpace:
     def test_zero_angles_all_ones(self):
         band = make_band(Band.MMWAVE)
-        h = free_space_channel(make_geom(), band, 1)
-        assert np.allclose(h, np.ones((8, 8)))
+        h = los_sequence(make_geom(), band, np.array([1]))
+        assert np.allclose(h, np.ones((8, 8, 1)))
 
     def test_rank_one(self, rng):
         band = make_band(Band.MMWAVE)
         geom = make_geom(aod=0.4, aoa=-0.8, chi_m=1.1, nu_m=300.0)
-        h = free_space_channel(geom, band, 3)
+        h = los_sequence(geom, band, np.array([3]))[:, :, 0]
         s = np.linalg.svd(h, compute_uv=False)
         assert s[0] == pytest.approx(np.sqrt(8 * 8))
         assert np.all(s[1:] < 1e-10)
@@ -81,14 +81,8 @@ class TestFreeSpace:
         band = make_band(Band.MMWAVE)
         nu = band.subcarrier_spacing_hz / 4.0
         geom = make_geom(aod=0.2, aoa=0.3, nu_m=nu)
-        h1 = free_space_channel(geom, band, 1)
-        h3 = free_space_channel(geom, band, 3)
-        assert np.allclose(h3 / h1, np.exp(1j * np.pi))
-
-    def test_symbol_out_of_range(self):
-        band = make_band(Band.MMWAVE, n_symbols=5)
-        with pytest.raises(ValueError):
-            free_space_channel(make_geom(), band, 6)
+        h = los_sequence(geom, band, np.array([1, 3]))
+        assert np.allclose(h[:, :, 1] / h[:, :, 0], np.exp(1j * np.pi))
 
 
 class TestTdlProfile:
@@ -361,4 +355,12 @@ class TestTensorDump:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a tensor dump at all")
         with pytest.raises(ValueError):
+            load_channel_tensor(str(path))
+
+    def test_reject_truncated_payload(self, tmp_path):
+        tensor = ChannelTensor(band_id=Band.SUB6, data=np.ones((2, 3, 4, 5), complex))
+        path = tmp_path / "h.bin"
+        dump_channel_tensor(tensor, str(path))
+        path.write_bytes(path.read_bytes()[:-8])  # drop the last entry
+        with pytest.raises(ValueError, match="952 bytes.*need 960"):
             load_channel_tensor(str(path))

@@ -102,6 +102,11 @@ class TestPilots:
     def test_divisibility_violation_exits_2(self, capsys):
         assert main(["pilots", "8", "3", "16"]) == 2
 
+    @pytest.mark.parametrize("args", [["0", "1", "16"], ["8", "2", "0"]])
+    def test_empty_array_or_band_exits_2(self, args, capsys):
+        assert main(["pilots", *args]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "grid.csv"
         assert main(["pilots", "8", "2", "16", "--out", str(out)]) == 0
@@ -171,6 +176,15 @@ class TestWorkers:
         assert code == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2
+
+    def test_env_not_an_integer_exits_2(self, mini_config_path, capsys, monkeypatch):
+        monkeypatch.setenv("MMLINK_WORKERS", "two")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", mini_config_path])
+        assert exc.value.code == 2
+        assert "error: argument --workers: invalid int value: 'two'" in (
+            capsys.readouterr().err
+        )
 
 
 class TestPresets:

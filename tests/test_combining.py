@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 
 from mmlink.core import Band
 from mmlink.channel import steering_vector
-from mmlink.combining import combine_mrc, compute_weight, conventional_estimate
-from mmlink.estimation import ChannelEstimate, EstimateSource
+from mmlink.combining import combine_mrc, compute_weight
+from mmlink.estimation import ChannelEstimate
 
 
-def est(data, band=Band.MMWAVE, source=EstimateSource.INBAND_LS):
-    return ChannelEstimate(band_id=band, data=data, source=source)
+def est(data, band=Band.MMWAVE):
+    return ChannelEstimate(band_id=band, data=data)
 
 
 class TestComputeWeight:
@@ -58,7 +58,6 @@ class TestCombine:
         b = rng.standard_normal((4, 4, 8)) + 1j * rng.standard_normal((4, 4, 8))
         out = combine_mrc(est(a), est(b), 0.0)
         assert np.array_equal(out.data, b)
-        assert out.source == EstimateSource.COMBINED
 
     def test_weight_one_returns_oob(self, rng):
         a = rng.standard_normal((4, 4, 8)) + 1j * rng.standard_normal((4, 4, 8))
@@ -82,13 +81,6 @@ class TestCombine:
         a = np.zeros((2, 2, 3), dtype=complex)
         with pytest.raises(ValueError):
             combine_mrc(est(a, band=Band.SUB6), est(a), 0.5)
-
-    def test_conventional_identity(self, rng):
-        a = rng.standard_normal((4, 4, 8)) + 1j * rng.standard_normal((4, 4, 8))
-        e = est(a)
-        assert conventional_estimate(e) is e
-        with pytest.raises(ValueError):
-            conventional_estimate(est(a, band=Band.SUB6))
 
 
 class TestCombinedMse:

@@ -1,5 +1,7 @@
 """LS estimation, K-factor moments, angle search, out-of-band reconstruction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from mmlink.channel import (
 )
 from mmlink.estimation import (
     ChannelEstimate,
-    EstimateSource,
     estimate_angles,
     estimate_k_factor,
     ls_estimate,
@@ -30,8 +31,8 @@ def run_ls(h, band, k_p, noise_power=0.0, seed=0, direction=FORWARD):
 
 
 def rank1_channel(band, aod, aoa, gain=1.0):
-    a_tx = steering_vector(band.m_tx, 0.5, aod)
-    a_rx = steering_vector(band.m_rx, 0.5, aoa)
+    a_tx = steering_vector(band.m_tx, band.element_spacing_wavelengths, aod)
+    a_rx = steering_vector(band.m_rx, band.element_spacing_wavelengths, aoa)
     return gain * np.outer(a_rx, np.conj(a_tx))
 
 
@@ -42,7 +43,6 @@ class TestLsEstimate:
         h = np.broadcast_to(h0[:, :, None, None], (8, 8, 32, 11)).copy()
         for k_p in (1, 2, 4):
             est, _ = run_ls(h, band, k_p)
-            assert est.source == EstimateSource.INBAND_LS
             assert np.allclose(est.data, h[:, :, :, 0], atol=1e-12)
 
     def test_exact_at_pilot_subcarriers_selective(self):
@@ -166,7 +166,6 @@ class TestKFactor:
             data=np.broadcast_to(
                 rank1_channel(band, 0.3, 0.2)[:, :, None], (8, 8, 32)
             ).copy(),
-            source=EstimateSource.INBAND_LS,
         )
         assert estimate_k_factor(est) == pytest.approx(1e6)
 
@@ -178,7 +177,7 @@ class TestKFactor:
                 rng.standard_normal((4, 4, 336))
                 + 1j * rng.standard_normal((4, 4, 336))
             ) / np.sqrt(2)
-            est = ChannelEstimate(Band.SUB6, h, EstimateSource.INBAND_LS)
+            est = ChannelEstimate(Band.SUB6, h)
             medians.append(estimate_k_factor(est))
         assert np.median(medians) < 0.3
 
@@ -196,15 +195,13 @@ class TestKFactor:
             jakes = JakesProcess.sample((4, 4, profile.n_taps), 0.0, rng)
             sp = stochastic_channel(profile, band, jakes, np.array([1]))[:, :, :, 0]
             h = np.sqrt(kappa / 11.0) * los[:, :, None] + np.sqrt(1.0 / 11.0) * sp
-            est = ChannelEstimate(Band.SUB6, h, EstimateSource.INBAND_LS)
+            est = ChannelEstimate(Band.SUB6, h)
             estimates.append(estimate_k_factor(est))
         med_db = 10 * np.log10(np.median(estimates))
         assert 7.0 <= med_db <= 13.0
 
     def test_insufficient_samples(self):
-        est = ChannelEstimate(
-            Band.SUB6, np.ones((2, 2, 1), dtype=complex), EstimateSource.INBAND_LS
-        )
+        est = ChannelEstimate(Band.SUB6, np.ones((2, 2, 1), dtype=complex))
         with pytest.raises(ValueError, match="insufficient samples"):
             estimate_k_factor(est)
 
@@ -216,8 +213,8 @@ class TestEstimateAngles:
         h = np.broadcast_to(
             rank1_channel(band, aod, aoa)[:, :, None], (8, 8, 32)
         ).copy()
-        est = ChannelEstimate(Band.SUB6, h, EstimateSource.INBAND_LS)
-        got_aod, got_aoa = estimate_angles(est, grid_resolution=181)
+        est = ChannelEstimate(Band.SUB6, h)
+        got_aod, got_aoa = estimate_angles(est, band)
         assert abs(np.degrees(got_aod) - 20.0) < 0.5
         assert abs(np.degrees(got_aoa) + 35.0) < 0.5
 
@@ -226,15 +223,26 @@ class TestEstimateAngles:
         h = np.broadcast_to(
             rank1_channel(band, 0.0, 0.0)[:, :, None], (8, 8, 16)
         ).copy()
-        est = ChannelEstimate(Band.SUB6, h, EstimateSource.INBAND_LS)
-        aod, aoa = estimate_angles(est, grid_resolution=181)
+        est = ChannelEstimate(Band.SUB6, h)
+        aod, aoa = estimate_angles(est, band)
         assert aod == 0.0
         assert aoa == 0.0
 
+    def test_honours_element_spacing(self):
+        # quarter-wavelength sub-6 array; a half-wavelength search reads the
+        # sines at half their size, (0.148, -0.286) rad
+        band = replace(
+            make_band(Band.SUB6, n_subcarriers=16), element_spacing_wavelengths=0.25
+        )
+        h = np.broadcast_to(rank1_channel(band, 0.3, -0.6)[:, :, None], (8, 8, 16))
+        aod, aoa = estimate_angles(ChannelEstimate(Band.SUB6, h), band)
+        assert aod == pytest.approx(0.3, abs=2e-3)
+        assert aoa == pytest.approx(-0.6, abs=2e-3)
+
     def test_pure_scatter_stays_in_range(self, rng):
         h = rng.standard_normal((8, 8, 16)) + 1j * rng.standard_normal((8, 8, 16))
-        est = ChannelEstimate(Band.SUB6, h, EstimateSource.INBAND_LS)
-        aod, aoa = estimate_angles(est)
+        est = ChannelEstimate(Band.SUB6, h)
+        aod, aoa = estimate_angles(est, make_band(Band.SUB6))
         assert np.isfinite(aod) and np.isfinite(aoa)
         assert -np.pi / 2 <= aod <= np.pi / 2
         assert -np.pi / 2 <= aoa <= np.pi / 2
@@ -245,12 +253,10 @@ class TestEstimateAngles:
             rank1_channel(band, 0.5, -0.2)[:, :, None], (8, 8, 16)
         ).copy()
         h = h + 0.1 * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
-        est = ChannelEstimate(Band.SUB6, h, EstimateSource.INBAND_LS)
-        rotated = ChannelEstimate(
-            Band.SUB6, h * np.exp(1j * 1.234), EstimateSource.INBAND_LS
-        )
-        a = estimate_angles(est)
-        b = estimate_angles(rotated)
+        est = ChannelEstimate(Band.SUB6, h)
+        rotated = ChannelEstimate(Band.SUB6, h * np.exp(1j * 1.234))
+        a = estimate_angles(est, band)
+        b = estimate_angles(rotated, band)
         assert a[0] == pytest.approx(b[0], abs=1e-9)
         assert a[1] == pytest.approx(b[1], abs=1e-9)
 
@@ -263,10 +269,8 @@ class TestOobAidedEstimate:
         inband = ChannelEstimate(
             Band.MMWAVE,
             np.broadcast_to((2.5 - 1j) * atom[:, :, None], (8, 8, 16)).copy(),
-            EstimateSource.INBAND_LS,
         )
         out = oob_aided_estimate((aod, aoa), inband, band)
-        assert out.source == EstimateSource.OOB_AIDED
         assert np.allclose(out.data, inband.data, atol=1e-10)
 
     def test_orthogonal_component_rejected(self):
@@ -278,7 +282,6 @@ class TestOobAidedEstimate:
         inband = ChannelEstimate(
             Band.MMWAVE,
             np.broadcast_to((atom + other)[:, :, None], (4, 4, 8)).copy(),
-            EstimateSource.INBAND_LS,
         )
         out = oob_aided_estimate((0.0, 0.0), inband, band)
         assert np.allclose(out.data, np.broadcast_to(atom[:, :, None], (4, 4, 8)))
@@ -289,7 +292,7 @@ class TestOobAidedEstimate:
         h = np.broadcast_to(
             rank1_channel(band, aod, aoa, gain=0.8 + 0.6j)[:, :, None], (8, 8, 16)
         ).copy()
-        inband = ChannelEstimate(Band.MMWAVE, h, EstimateSource.INBAND_LS)
+        inband = ChannelEstimate(Band.MMWAVE, h)
         out = oob_aided_estimate((aod, aoa), inband, band)
         rel = np.linalg.norm(out.data - h) / np.linalg.norm(h)
         assert rel < 1e-3
@@ -297,7 +300,7 @@ class TestOobAidedEstimate:
     def test_output_rank_one_and_flat(self, rng):
         band = make_band(Band.MMWAVE, n_subcarriers=16)
         h = rng.standard_normal((8, 8, 16)) + 1j * rng.standard_normal((8, 8, 16))
-        inband = ChannelEstimate(Band.MMWAVE, h, EstimateSource.INBAND_LS)
+        inband = ChannelEstimate(Band.MMWAVE, h)
         out = oob_aided_estimate((0.2, 0.3), inband, band)
         assert np.allclose(out.data, out.data[:, :, :1])
         s = np.linalg.svd(out.data[:, :, 0], compute_uv=False)
@@ -309,7 +312,7 @@ class TestOobAidedEstimate:
         h = np.broadcast_to((1.5 + 0.5j) * atom[:, :, None], (4, 4, 8)).copy()
         # corrupt the rows outside the projection set; result must not change
         h[2:] += 10.0
-        inband = ChannelEstimate(Band.MMWAVE, h, EstimateSource.INBAND_LS)
+        inband = ChannelEstimate(Band.MMWAVE, h)
         out = oob_aided_estimate((0.3, -0.1), inband, band, rx_rows=np.array([0, 1]))
         expected = (1.5 + 0.5j) * atom
         assert np.allclose(out.data[:, :, 0], expected, atol=1e-10)
@@ -317,7 +320,6 @@ class TestOobAidedEstimate:
     def test_non_finite_angles_rejected(self):
         band = make_band(Band.MMWAVE, n_subcarriers=8)
         inband = ChannelEstimate(
-            Band.MMWAVE, np.ones((8, 8, 8), dtype=complex), EstimateSource.INBAND_LS
-        )
+            Band.MMWAVE, np.ones((8, 8, 8), dtype=complex))
         with pytest.raises(ValueError):
             oob_aided_estimate((np.nan, 0.0), inband, band)

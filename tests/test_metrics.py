@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from mmlink.core import Band
-from mmlink.estimation import ChannelEstimate, EstimateSource
+from mmlink.estimation import ChannelEstimate
 from mmlink.metrics import (
-    closed_form_se,
-    error_covariance,
     evaluate_link,
-    gain_matrix,
     perfect_gain_diagonals,
     sinr_per_stream,
     spectral_efficiency,
 )
 from mmlink.transceiver import design_link
 
+from oracles import closed_form_se, error_covariance, gain_matrix
+
 
 def make_estimate(h):
-    return ChannelEstimate(Band.MMWAVE, h, EstimateSource.PERFECT)
+    return ChannelEstimate(Band.MMWAVE, h)
 
 
 class TestGainMatrix:
@@ -168,3 +167,30 @@ class TestEvaluateLink:
         res = evaluate_link(h[:, :, :, None], d, 1.0)
         assert np.allclose(res.sinr[1], 0.0)
         assert res.se_bits_per_s_per_hz >= 0.0
+
+    def test_matches_per_cell_oracles_on_aging_channel(self, rng):
+        # a design frozen on a stale estimate over a channel that moves
+        # through K_D = 3 data symbols: every cell, including the leakage
+        # and the error variance, must match the unbatched formulas
+        m, n_sc, k_d, noise = 4, 5, 3, 0.3
+        h0 = rng.standard_normal((m, m, n_sc)) + 1j * rng.standard_normal((m, m, n_sc))
+        drift = rng.standard_normal((m, m, n_sc, k_d)) + 1j * rng.standard_normal(
+            (m, m, n_sc, k_d)
+        )
+        h = h0[:, :, :, None] + 0.3 * np.cumsum(drift, axis=3)
+        d = design_link(make_estimate(h0), 1.0, noise)
+        res = evaluate_link(h, d, noise)
+        assert res.sinr.shape == (n_sc, k_d, m)
+        for n in range(n_sc):
+            for k in range(k_d):
+                cell = h[:, :, n, k]
+                g = gain_matrix(cell, d.combiner[n], d.precoder[n], d.power[n])
+                fresh = design_link(make_estimate(cell[:, :, None]), 1.0, noise)
+                g_perfect = gain_matrix(
+                    cell, fresh.combiner[0], fresh.precoder[0], fresh.power[0]
+                )
+                perf_diag = perfect_gain_diagonals(cell[:, :, None, None], 1.0, noise)
+                assert np.allclose(g_perfect, np.diag(perf_diag[0, 0]), atol=1e-12)
+                sigma_mu_sq = error_covariance(g_perfect, g)
+                want = sinr_per_stream(g, d.combiner[n], sigma_mu_sq, noise)
+                assert np.allclose(res.sinr[n, k], want, rtol=1e-9, atol=0.0)

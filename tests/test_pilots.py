@@ -1,4 +1,4 @@
-"""Comb pilot layout, overhead accounting and training transmission."""
+"""Comb pilot layout and training transmission."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from mmlink.pilots import (
     FORWARD,
     REVERSE,
     build_pilot_grid,
-    pilot_overhead,
     transmit_training,
 )
 
@@ -108,22 +107,6 @@ class TestLayout:
         band = make_band(Band.MMWAVE, n_subcarriers=10, m_tx=8, m_rx=8)
         with pytest.raises(ValueError, match="must divide\n?.*n_subcarriers"):
             build_pilot_grid(band, 2, np.random.default_rng(0))
-
-
-class TestOverhead:
-    def test_ratios(self):
-        band = make_band(Band.MMWAVE, n_symbols=15)
-        grid = grid_for(k_p=4, n=16)
-        assert pilot_overhead(grid, band) == pytest.approx(8.0 / 15.0)
-        band9 = make_band(Band.MMWAVE, n_symbols=9)
-        grid1 = grid_for(k_p=1, n=16)
-        assert pilot_overhead(grid1, band9) == pytest.approx(2.0 / 9.0)
-
-    def test_no_data_symbols_left(self):
-        band = make_band(Band.MMWAVE, n_symbols=8)
-        grid = grid_for(k_p=4, n=16)
-        with pytest.raises(ValueError, match="no data symbols remain"):
-            pilot_overhead(grid, band)
 
 
 class TestTransmitTraining:

@@ -1,38 +1,18 @@
-"""SVD link design, water-filling and the data-phase relation."""
+"""SVD link design, water-filling and the data-phase stream coupling."""
 
 import numpy as np
 import pytest
 
 from mmlink.core import Band
-from mmlink.estimation import ChannelEstimate, EstimateSource
-from mmlink.transceiver import design_link, transmit_data, waterfill_power
+from mmlink.estimation import ChannelEstimate
+from mmlink.metrics import evaluate_link
+from mmlink.transceiver import design_link, waterfill_power
 
-
-def waterfill_bisection(singular_values, noise_power, p_total):
-    """Independent oracle: bisect the water level until powers sum to P."""
-    sv = np.asarray(singular_values, dtype=float)
-    finite = sv > 0
-    if not np.any(finite):
-        return np.zeros_like(sv)
-    a = np.full(sv.shape, np.inf)
-    a[finite] = noise_power / sv[finite] ** 2
-    lo = np.min(a[finite])
-    hi = lo + p_total + 1.0
-    for _ in range(200):
-        mu = 0.5 * (lo + hi)
-        total = np.sum(np.clip(mu - a, 0.0, None))
-        if total > p_total:
-            hi = mu
-        else:
-            lo = mu
-    mu = 0.5 * (lo + hi)
-    return np.clip(mu - a, 0.0, None)
+from oracles import gain_matrix, waterfill_bisection
 
 
 def make_estimate(h):
-    return ChannelEstimate(
-        band_id=Band.MMWAVE, data=h, source=EstimateSource.INBAND_LS
-    )
+    return ChannelEstimate(band_id=Band.MMWAVE, data=h)
 
 
 class TestWaterfill:
@@ -146,51 +126,24 @@ class TestDesignLink:
 
 
 class TestTransmitData:
-    def _design_and_channel(self, rng, n=6, m=4, k=9, k_p=1):
-        h = rng.standard_normal((m, m, n)) + 1j * rng.standard_normal((m, m, n))
-        h_t = np.broadcast_to(h[:, :, :, None], (m, m, n, k)).copy()
-        d = design_link(make_estimate(h), 1.0, 0.2)
-        return h_t, d
+    """A frozen design over the true data-phase channel."""
 
     def test_perfect_csi_diagonalizes(self, rng):
-        h_t, d = self._design_and_channel(rng)
-        n, k_d, L = 6, 7, 4
-        payload = (
-            rng.standard_normal((L, n, k_d)) + 1j * rng.standard_normal((L, n, k_d))
-        )
-        y = transmit_data(h_t, d, payload, 0.0, rng, first_data_symbol=2)
-        expected = (
-            d.singular_values[:, :, None].transpose(1, 0, 2)
-            * np.sqrt(d.power).T[:, :, None]
-            * payload
-        )
-        assert np.allclose(y, expected, atol=1e-9)
-
-    def test_combined_noise_is_white(self, rng):
-        h_t, d = self._design_and_channel(rng, n=2)
-        L = 4
-        payload = np.zeros((L, 2, 7), dtype=complex)
-        sigma2 = 0.8
-        acc = 0.0
-        cross = 0.0
-        count = 0
-        for seed in range(300):
-            y = transmit_data(
-                h_t, d, payload, sigma2, np.random.default_rng(seed), 2
-            )
-            acc += np.sum(np.abs(y) ** 2)
-            cross += np.sum(y[0] * np.conj(y[1]))
-            count += y.size
-        assert acc / count == pytest.approx(sigma2, rel=0.05)
-        assert abs(cross) / (count / 4) < 0.05  # off-diagonal covariance ~ 0
+        m, n, noise = 4, 6, 0.2
+        h = rng.standard_normal((m, m, n)) + 1j * rng.standard_normal((m, m, n))
+        d = design_link(make_estimate(h), 1.0, noise)
+        res = evaluate_link(np.stack([h, h], axis=3), d, noise)
+        # no leakage and no error variance: SINR is sigma^2 p / sigma_w^2
+        expected = d.singular_values**2 * d.power / noise
+        assert np.allclose(res.sinr, expected[:, None, :], rtol=1e-9)
 
     def test_stale_design_leaks_between_streams(self, rng):
-        m, n, k = 4, 6, 9
+        m, n, noise = 4, 6, 0.2
         h0 = rng.standard_normal((m, m, n)) + 1j * rng.standard_normal((m, m, n))
         h1 = rng.standard_normal((m, m, n)) + 1j * rng.standard_normal((m, m, n))
-        h_t = np.broadcast_to(h1[:, :, :, None], (m, m, n, k)).copy()
-        d = design_link(make_estimate(h0), 1.0, 0.2)  # stale design
-        payload = np.zeros((m, n, 7), dtype=complex)
-        payload[0] = 1.0  # excite stream 1 only
-        y = transmit_data(h_t, d, payload, 0.0, rng, 2)
-        assert np.sum(np.abs(y[1:]) ** 2) > 0
+        d = design_link(make_estimate(h0), 1.0, noise)  # stale design
+        g = gain_matrix(h1[:, :, 0], d.combiner[0], d.precoder[0], d.power[0])
+        assert np.sum(np.abs(g - np.diag(np.diag(g))) ** 2) > 0
+        res = evaluate_link(h1[:, :, :, None], d, noise)
+        live = d.power[0] > 0  # leakage and error variance cut every live stream
+        assert np.all(res.sinr[0, 0][live] < np.abs(np.diag(g))[live] ** 2 / noise)
