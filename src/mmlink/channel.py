@@ -77,12 +77,16 @@ def sample_geometry(
 
 
 def steering_vector(
-    n_elements: int, spacing_wavelengths: float, angle_rad: float
+    n_elements: int, spacing_wavelengths: float, angle_rad: float | np.ndarray
 ) -> np.ndarray:
-    """Uniform linear array response; entry m is exp(-j 2 pi m d sin(angle))."""
+    """Uniform linear array response; entry m is exp(-j 2 pi m d sin(angle)).
+
+    For a 1-D array of angles the result is the (n_elements, len(angles))
+    dictionary with one response per column.
+    """
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
-    m = np.arange(n_elements)
+    m = np.arange(n_elements).reshape((-1,) + (1,) * np.ndim(angle_rad))
     return np.exp(-2j * np.pi * m * spacing_wavelengths * np.sin(angle_rad))
 
 

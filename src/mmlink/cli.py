@@ -45,6 +45,16 @@ _SCALAR_TYPES = {
 }
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmlink",
@@ -71,9 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--workers",
-        type=int,
-        # a string default goes through type=int like a command-line value,
-        # so a bad $MMLINK_WORKERS is a usage error (exit 2), not a traceback
+        type=_worker_count,
+        # a string default goes through the type check like a command-line
+        # value, so a bad $MMLINK_WORKERS is a usage error (exit 2), not a
+        # traceback
         default=os.environ.get("MMLINK_WORKERS", "1"),
         help="parallel worker processes (default $MMLINK_WORKERS or 1)",
     )
@@ -178,7 +189,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     records = []
     for spec in specs:
-        records.extend(run_sweep(spec, workers=max(1, args.workers)))
+        records.extend(run_sweep(spec, workers=args.workers))
     csv_text = format_csv(records)
     if args.out:
         try:
@@ -197,9 +208,12 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     spec = PlotSpec(csv_path=args.csv, x_param=args.x, out_path=out, title=args.title)
     try:
         write_chart(spec)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:  # a malformed CSV or an unknown --x column
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 

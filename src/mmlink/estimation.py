@@ -123,8 +123,8 @@ def estimate_angles(est: ChannelEstimate, band: BandConfig) -> tuple[float, floa
     angles = np.linspace(-np.pi / 2, np.pi / 2, _ANGLE_GRID_POINTS)
     step = angles[1] - angles[0]
     # columns of a_* over the angle grid
-    a_tx = np.stack([steering_vector(m_tx, d, a) for a in angles], axis=1)
-    a_rx = np.stack([steering_vector(m_rx, d, a) for a in angles], axis=1)
+    a_tx = steering_vector(m_tx, d, angles)
+    a_rx = steering_vector(m_rx, d, angles)
     # beamform the tx side once, then evaluate an rx-side quadratic form
     # on the per-tx-angle covariance, batched over the tx grid
     b = np.tensordot(h, a_tx, axes=([1], [0]))  # (m_rx, N, R)

@@ -67,13 +67,20 @@ def perfect_gain_diagonals(
 
 
 def evaluate_link(
-    h_data: np.ndarray, design: LinkDesign, noise_power: float
+    h_data: np.ndarray,
+    design: LinkDesign,
+    noise_power: float,
+    *,
+    perf_diag: np.ndarray | None = None,
 ) -> SeResult:
     """SE of a frozen link design over the true time-varying data channel.
 
     h_data has shape (m_rx, m_tx, N, K_D) covering the data symbols. The
     estimation-error variance compares the achieved gain matrix against
-    the one a per-symbol perfect design would achieve.
+    the one a per-symbol perfect design would achieve. perf_diag, when
+    given, must equal perfect_gain_diagonals(h_data, design.p_total,
+    noise_power); callers that evaluate several designs over overlapping
+    windows of one channel compute it once and pass each its slice.
     """
     fp = design.precoder * np.sqrt(design.power)[:, None, :]  # (N, m_tx, L)
     ht = np.ascontiguousarray(h_data.transpose(2, 3, 0, 1))  # (N, K_D, m_rx, m_tx)
@@ -86,7 +93,12 @@ def evaluate_link(
     # plus the leakage of row m of g, with no other term.
     diag = np.diagonal(g, axis1=-2, axis2=-1)
     leakage = np.clip(np.sum(np.abs(g) ** 2, axis=-1) - np.abs(diag) ** 2, 0.0, None)
-    perf_diag = perfect_gain_diagonals(h_data, design.p_total, noise_power)
+    if perf_diag is None:
+        perf_diag = perfect_gain_diagonals(h_data, design.p_total, noise_power)
+    elif perf_diag.shape != diag.shape:
+        raise ValueError(
+            f"perf_diag has shape {perf_diag.shape}, the gain diagonals {diag.shape}"
+        )
     sigma_mu_sq = (np.abs(perf_diag - diag) ** 2 + leakage) / design.n_streams
 
     sinr = sinr_per_stream(g, design.combiner[:, None], sigma_mu_sq, noise_power)

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import channel as ch
 from . import combining, estimation, metrics, pilots, transceiver
-from .core import Band, Method, SeedTree, SimConfig, with_pilot_symbols
+from .core import Band, BandConfig, Method, SeedTree, SimConfig, with_pilot_symbols
 
 SWEEP_PARAMS = ("k_factor_db", "velocity_kmh", "snr_db", "pilot_k_p", "method")
+# The sweep parameters that make up the propagation environment of a point.
+_ENV_COLUMNS = SWEEP_PARAMS[:3]
 
 CSV_HEADER = (
     "k_factor_db,velocity_kmh,snr_db,pilot_k_p,method,se_mean,se_stderr,"
@@ -95,82 +98,148 @@ def point_columns(cfg: SimConfig) -> dict:
     }
 
 
-def run_realization(cfg: SimConfig, realization: int) -> float:
-    """One full link-establishment pass; returns the achievable SE.
+def _environment(cfg: SimConfig) -> SimConfig:
+    """The config with its method and pilot pattern factored out."""
+    return with_pilot_symbols(replace(cfg, estimation_method=Method.PERFECT), 1)
+
+
+def _sub6_statistics(
+    cfgs: Sequence[SimConfig],
+    geom: ch.LosGeometry,
+    tree: SeedTree,
+    realization: int,
+) -> dict[int, tuple[float, tuple[float, float]]]:
+    """(kappa estimate, LOS angles) from sub-6 GHz training, per K_P of
+    the ooba_mrc configs. The sub-6 tensor spans the longest of their
+    frames and is freed on return."""
+    oob = [c for c in cfgs if c.estimation_method == Method.OOBA_MRC]
+    if not oob:
+        return {}
+    longest = max(oob, key=lambda c: c.sub6.n_symbols_total)
+    band = longest.sub6
+    h_sub6 = ch.synthesize_band(
+        longest, Band.SUB6, geom, tree.rng(realization, "sub6", "stochastic")
+    )
+    out = {}
+    for k_p in sorted({c.pilot_symbols_per_direction for c in oob}):
+        grid = pilots.build_pilot_grid(
+            band, k_p, tree.rng(realization, "sub6", "pilots")
+        )
+        obs = pilots.transmit_training(
+            h_sub6.data,
+            grid,
+            longest.noise_power(Band.SUB6),
+            tree.rng(realization, "sub6", "train_noise"),
+        )
+        est = estimation.ls_estimate(obs, grid, band)
+        out[k_p] = (
+            estimation.estimate_k_factor(est),
+            estimation.estimate_angles(est, band),
+        )
+    return out
+
+
+def _ooba_mrc_estimate(
+    band: BandConfig,
+    training: tuple[
+        pilots.PilotGrid, pilots.TrainingObservations, estimation.ChannelEstimate
+    ],
+    sub6: tuple[float, tuple[float, float]],
+    noise_power: float,
+) -> estimation.ChannelEstimate:
+    """Combine the in-band estimate with the rank-1 sub-6 GHz-aided one."""
+    grid, obs, inband = training
+    kappa, angles = sub6
+    k_p = grid.k_p
+    # The LOS gain/phase comes from the freshest in-band pilots: the last
+    # reverse-direction symbol, one symbol before the data phase for every
+    # pilot pattern. This keeps the aging of the rank-1 estimate
+    # independent of K_P.
+    est_rev = estimation.ls_estimate(obs, grid, band, direction=pilots.REVERSE)
+    group = band.m_rx // k_p
+    fresh_rows = np.arange((k_p - 1) * group, k_p * group)
+    oob = estimation.oob_aided_estimate(angles, est_rev, band, rx_rows=fresh_rows)
+    weight = combining.compute_weight(band.m_tx, band.m_rx, noise_power, kappa)
+    return combining.combine_mrc(oob, inband, weight)
+
+
+def run_realization(cfgs: Sequence[SimConfig], realization: int) -> list[float]:
+    """One link-establishment pass per config at one environment point;
+    returns the achievable SE of each config, in order.
+
+    The configs may differ only in estimation method and pilot pattern,
+    so they see one channel realization, and the work they share is done
+    once: each band is synthesized over the longest frame (the Jakes and
+    specular draws do not depend on frame length, so every shorter frame
+    is a prefix), sub-6 GHz statistics and mmWave training are computed
+    once per K_P, and the perfect-design gains once over the union of the
+    data windows. The sub-6 GHz tensor is freed before the mmWave one is
+    built, which keeps the peak memory of a task that of one band.
 
     Training occupies symbols 1..2*K_P (both TDD directions), data runs
     over the remaining symbols while the design stays frozen, so channel
     aging enters through the true time-varying channel. Deterministic
     given (master_seed, realization).
     """
-    tree = SeedTree(cfg.master_seed)
-    k_p = cfg.pilot_symbols_per_direction
-    first_data = 2 * k_p  # 0-based index of the first data symbol
+    env = cfgs[0]
+    if any(_environment(c) != _environment(env) for c in cfgs[1:]):
+        raise ValueError("configs of one task must share the environment point")
+    tree = SeedTree(env.master_seed)
     geom = ch.sample_geometry(
         tree.rng(realization, "shared", "geometry"),
-        cfg.sub6,
-        cfg.mmw,
-        cfg.velocity_mps,
+        env.sub6,
+        env.mmw,
+        env.velocity_mps,
     )
+    sub6 = _sub6_statistics(cfgs, geom, tree, realization)
+
+    longest = max(cfgs, key=lambda c: c.mmw.n_symbols_total)
     h_mmw = ch.synthesize_band(
-        cfg, Band.MMWAVE, geom, tree.rng(realization, "mmw", "stochastic")
+        longest, Band.MMWAVE, geom, tree.rng(realization, "mmw", "stochastic")
+    ).data
+    band = env.mmw
+    noise_mmw = env.noise_power(Band.MMWAVE)
+    estimated = [c for c in cfgs if c.estimation_method != Method.PERFECT]
+    training = {}
+    for k_p in sorted({c.pilot_symbols_per_direction for c in estimated}):
+        grid = pilots.build_pilot_grid(
+            band, k_p, tree.rng(realization, "mmw", "pilots")
+        )
+        obs = pilots.transmit_training(
+            h_mmw, grid, noise_mmw, tree.rng(realization, "mmw", "train_noise")
+        )
+        training[k_p] = (grid, obs, estimation.ls_estimate(obs, grid, band))
+
+    static = env.velocity_mps == 0.0
+    # 0-based index of the first data symbol of the shortest training block
+    start = 2 * min(c.pilot_symbols_per_direction for c in cfgs)
+    # channel constant over time: one data symbol carries the average
+    stop = start + 1 if static else longest.mmw.n_symbols_total
+    perf = metrics.perfect_gain_diagonals(
+        h_mmw[:, :, :, start:stop], band.tx_power_watt, noise_mmw
     )
-    noise_mmw = cfg.noise_power(Band.MMWAVE)
-    method = cfg.estimation_method
 
-    if method == Method.PERFECT:
-        est = estimation.ChannelEstimate(Band.MMWAVE, h_mmw.data[:, :, :, first_data])
-    else:
-        grid_mmw = pilots.build_pilot_grid(
-            cfg.mmw, k_p, tree.rng(realization, "mmw", "pilots")
-        )
-        obs_mmw = pilots.transmit_training(
-            h_mmw.data, grid_mmw, noise_mmw, tree.rng(realization, "mmw", "train_noise")
-        )
-        inband = estimation.ls_estimate(obs_mmw, grid_mmw, cfg.mmw)
-        if method == Method.CONVENTIONAL:
-            est = inband
+    ses = []
+    for cfg in cfgs:
+        k_p = cfg.pilot_symbols_per_direction
+        first_data = 2 * k_p
+        if cfg.estimation_method == Method.PERFECT:
+            est = estimation.ChannelEstimate(Band.MMWAVE, h_mmw[:, :, :, first_data])
+        elif cfg.estimation_method == Method.CONVENTIONAL:
+            est = training[k_p][2]
         else:
-            h_sub6 = ch.synthesize_band(
-                cfg, Band.SUB6, geom, tree.rng(realization, "sub6", "stochastic")
-            )
-            grid_sub6 = pilots.build_pilot_grid(
-                cfg.sub6, k_p, tree.rng(realization, "sub6", "pilots")
-            )
-            obs_sub6 = pilots.transmit_training(
-                h_sub6.data,
-                grid_sub6,
-                cfg.noise_power(Band.SUB6),
-                tree.rng(realization, "sub6", "train_noise"),
-            )
-            inband_sub6 = estimation.ls_estimate(obs_sub6, grid_sub6, cfg.sub6)
-            kappa = estimation.estimate_k_factor(inband_sub6)
-            angles = estimation.estimate_angles(inband_sub6, cfg.sub6)
-            # The LOS gain/phase comes from the freshest in-band pilots:
-            # the last reverse-direction symbol, one symbol before the
-            # data phase for every pilot pattern. This keeps the aging of
-            # the rank-1 estimate independent of K_P.
-            est_rev = estimation.ls_estimate(
-                obs_mmw, grid_mmw, cfg.mmw, direction=pilots.REVERSE
-            )
-            group = cfg.mmw.m_rx // k_p
-            fresh_rows = np.arange((k_p - 1) * group, k_p * group)
-            oob = estimation.oob_aided_estimate(
-                angles, est_rev, cfg.mmw, rx_rows=fresh_rows
-            )
-            weight = combining.compute_weight(
-                cfg.mmw.m_tx, cfg.mmw.m_rx, noise_mmw, kappa
-            )
-            est = combining.combine_mrc(oob, inband, weight)
-
-    design = transceiver.design_link(est, cfg.mmw.tx_power_watt, noise_mmw)
-    if cfg.velocity_mps == 0.0:
-        # channel constant over time: one data symbol carries the average
-        h_data = h_mmw.data[:, :, :, first_data : first_data + 1]
-    else:
-        h_data = h_mmw.data[:, :, :, first_data:]
-    result = metrics.evaluate_link(h_data, design, noise_mmw)
-    return result.se_bits_per_s_per_hz
+            est = _ooba_mrc_estimate(band, training[k_p], sub6[k_p], noise_mmw)
+        design = transceiver.design_link(est, band.tx_power_watt, noise_mmw)
+        if static:
+            h_data = h_mmw[:, :, :, first_data : first_data + 1]
+            perf_diag = perf
+        else:
+            end = cfg.mmw.n_symbols_total
+            h_data = h_mmw[:, :, :, first_data:end]
+            perf_diag = perf[:, first_data - start : end - start]
+        result = metrics.evaluate_link(h_data, design, noise_mmw, perf_diag=perf_diag)
+        ses.append(result.se_bits_per_s_per_hz)
+    return ses
 
 
 # Worker-side state for parallel sweeps; set once per worker process.
@@ -182,16 +251,17 @@ def _init_worker(configs: tuple[SimConfig, ...]) -> None:
     _WORKER_CONFIGS = configs
 
 
-def _run_task(task: tuple[int, int]) -> tuple[int, int, float]:
-    pt_idx, r = task
+def _run_task(
+    task: tuple[tuple[int, ...], int],
+) -> tuple[tuple[int, ...], int, list[float]]:
+    group, r = task
+    cfgs = [_WORKER_CONFIGS[i] for i in group]
     try:
-        se = run_realization(_WORKER_CONFIGS[pt_idx], r)
+        ses = run_realization(cfgs, r)
     except Exception as exc:
-        raise SweepError(
-            f"realization {r} failed at point "
-            f"{point_columns(_WORKER_CONFIGS[pt_idx])}: {exc}"
-        ) from exc
-    return pt_idx, r, se
+        env = {k: v for k, v in point_columns(cfgs[0]).items() if k in _ENV_COLUMNS}
+        raise SweepError(f"realization {r} failed at point {env}: {exc}") from exc
+    return group, r, ses
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
@@ -200,35 +270,38 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     Each point's master seed derives from the base seed and the point's
     propagation environment, and each realization stream derives from
     (point seed, realization index), so the partitioning across workers
-    cannot change results.
+    cannot change results. A task is one (environment point,
+    realization): it runs every config at that point in one
+    run_realization call.
     """
     base_tree = SeedTree(spec.base.master_seed)
     configs = []
+    groups: dict[str, list[int]] = {}
     for point in spec.points():
         cfg = apply_point(spec.base, point)
         # Seed from the propagation environment only (K-factor, velocity,
         # SNR), so different methods and pilot patterns at the same point
         # see the same channel realizations and compare pairwise.
         env = f"{cfg.k_factor_sub6_db!r}|{cfg.velocity_mps!r}|{cfg.snr_db_mmw!r}"
+        groups.setdefault(env, []).append(len(configs))
         configs.append(
             replace(cfg, master_seed=base_tree.derive(0, "sweep-env", env))
         )
     configs = tuple(configs)
     n_real = spec.base.n_realizations
-    tasks = [(i, r) for i in range(len(configs)) for r in range(n_real)]
+    tasks = [(tuple(g), r) for g in groups.values() for r in range(n_real)]
 
-    results: dict[tuple[int, int], float] = {}
     if workers <= 1:
         _init_worker(configs)
-        for task in tasks:
-            pt_idx, r, se = _run_task(task)
-            results[(pt_idx, r)] = se
+        outcomes = [_run_task(task) for task in tasks]
     else:
         ctx = multiprocessing.get_context()
         with ctx.Pool(workers, initializer=_init_worker, initargs=(configs,)) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
-            for pt_idx, r, se in pool.imap_unordered(_run_task, tasks, chunk):
-                results[(pt_idx, r)] = se
+            outcomes = list(pool.imap_unordered(_run_task, tasks, chunk))
+    results: dict[tuple[int, int], float] = {}
+    for group, r, ses in outcomes:
+        results.update(((i, r), se) for i, se in zip(group, ses))
 
     records = []
     for i, cfg in enumerate(configs):

@@ -265,7 +265,7 @@ def test_criterion_9_perfect_csi_closed_form():
         snr_db_sub6=30.0,
     )
     for r in range(3):
-        se_pipeline = run_realization(cfg, r)
+        se_pipeline = run_realization([cfg], r)[0]
         tree = SeedTree(cfg.master_seed)
         geom = ch.sample_geometry(
             tree.rng(r, "shared", "geometry"), cfg.sub6, cfg.mmw, 0.0
@@ -285,6 +285,6 @@ def test_criterion_9_perfect_csi_closed_form():
         snr_db_mmw=10.0,
         snr_db_sub6=30.0,
     )
-    se = run_realization(cfg_los, 0)
+    se = run_realization([cfg_los], 0)[0]
     assert se == pytest.approx(np.log2(1.0 + 64.0 / 0.1), abs=1e-3)
     report(9, "perfect-CSI pipeline equals the water-filling closed form")

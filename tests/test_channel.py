@@ -61,6 +61,13 @@ class TestSteeringVector:
         assert np.linalg.norm(v) ** 2 == pytest.approx(n)
         assert v[0] == 1.0
 
+    @pytest.mark.parametrize("spacing", [0.25, 0.5, 0.7])
+    def test_angle_array_gives_one_column_per_angle(self, spacing):
+        # the estimate_angles dictionary: bit-equal to one call per angle
+        angles = np.linspace(-np.pi / 2, np.pi / 2, 181)
+        loop = np.stack([steering_vector(8, spacing, a) for a in angles], axis=1)
+        assert np.array_equal(steering_vector(8, spacing, angles), loop)
+
 
 class TestFreeSpace:
     def test_zero_angles_all_ones(self):

@@ -156,17 +156,28 @@ class TestPlot:
     def test_missing_csv_exits_1(self, capsys):
         assert main(["plot", "/nonexistent.csv", "--x", "k_factor_db"]) == 1
 
-    def test_unknown_column_exits_1(self, tmp_path, mini_config_path, capsys):
+    def test_unwritable_out_exits_1(self, tmp_path, mini_config_path, capsys):
         csv_path = self._results(tmp_path, mini_config_path, capsys)
-        assert main(["plot", csv_path, "--x", "wavelength"]) == 1
+        out = tmp_path / "no-such-dir" / "chart.svg"
+        assert main(["plot", csv_path, "--x", "k_factor_db", "--out", str(out)]) == 1
 
-    def test_empty_csv_exits_1(self, tmp_path, capsys):
+    def test_unknown_column_exits_2(self, tmp_path, mini_config_path, capsys):
+        csv_path = self._results(tmp_path, mini_config_path, capsys)
+        assert main(["plot", csv_path, "--x", "wavelength"]) == 2
+
+    def test_empty_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text(
             "k_factor_db,velocity_kmh,snr_db,pilot_k_p,method,se_mean,"
             "se_stderr,n_realizations\n"
         )
-        assert main(["plot", str(path), "--x", "k_factor_db"]) == 1
+        assert main(["plot", str(path), "--x", "k_factor_db"]) == 2
+
+    def test_missing_columns_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("k_factor_db,se\n0,1\n")
+        assert main(["plot", str(path), "--x", "k_factor_db"]) == 2
+        assert "results CSV lacks columns: " in capsys.readouterr().err
 
 
 class TestWorkers:
@@ -183,6 +194,24 @@ class TestWorkers:
             main(["run", "--config", mini_config_path])
         assert exc.value.code == 2
         assert "error: argument --workers: invalid int value: 'two'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_below_one_exits_2(self, value, mini_config_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", mini_config_path, "--workers", value])
+        assert exc.value.code == 2
+        assert f"error: argument --workers: must be >= 1 (got {value})" in (
+            capsys.readouterr().err
+        )
+
+    def test_env_below_one_exits_2(self, mini_config_path, capsys, monkeypatch):
+        monkeypatch.setenv("MMLINK_WORKERS", "-2")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", mini_config_path])
+        assert exc.value.code == 2
+        assert "error: argument --workers: must be >= 1 (got -2)" in (
             capsys.readouterr().err
         )
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmlink.core import Band, Method, SeedTree, with_pilot_symbols
 from mmlink import channel as ch
@@ -24,18 +25,18 @@ from conftest import make_config
 class TestRunRealization:
     def test_deterministic(self):
         cfg = make_config(k_p=2, estimation_method=Method.OOBA_MRC)
-        a = run_realization(cfg, 3)
-        b = run_realization(cfg, 3)
+        a = run_realization([cfg], 3)[0]
+        b = run_realization([cfg], 3)[0]
         assert a == b
 
     def test_realizations_differ(self):
         cfg = make_config()
-        assert run_realization(cfg, 0) != run_realization(cfg, 1)
+        assert run_realization([cfg], 0)[0] != run_realization([cfg], 1)[0]
 
     def test_all_methods_finite(self):
         for method in Method:
             cfg = make_config(estimation_method=method, k_factor_sub6_db=5.0)
-            se = run_realization(cfg, 0)
+            se = run_realization([cfg], 0)[0]
             assert np.isfinite(se) and se >= 0.0
 
     def test_perfect_beats_estimates_static(self):
@@ -44,7 +45,7 @@ class TestRunRealization:
             cfg = make_config(
                 estimation_method=method, k_factor_sub6_db=10.0, n_subcarriers=32
             )
-            ses[method] = np.mean([run_realization(cfg, r) for r in range(20)])
+            ses[method] = np.mean([run_realization([cfg], r)[0] for r in range(20)])
         assert ses[Method.PERFECT] >= ses[Method.OOBA_MRC] - 1e-9
         assert ses[Method.PERFECT] >= ses[Method.CONVENTIONAL] - 1e-9
 
@@ -74,8 +75,55 @@ class TestRunRealization:
         se_injected = metrics.evaluate_link(
             h4.data[:, :, :, 8:9], design, noise
         ).se_bits_per_s_per_hz
-        se_direct = run_realization(cfg4, r)
+        se_direct = run_realization([cfg4], r)[0]
         assert se_injected == pytest.approx(se_direct, abs=1e-12)
+
+
+def _environment_group(**overrides):
+    """Every (method, K_P) config at one environment point."""
+    base = make_config(k_p=1, **overrides)
+    return [
+        replace(with_pilot_symbols(base, k_p), estimation_method=method)
+        for method in Method
+        for k_p in (1, 2, 4)
+    ]
+
+
+class TestEnvironmentGroup:
+    @pytest.mark.parametrize(
+        "velocity_mps", [0.0, 100.0 / 3.6], ids=["static", "100kmh"]
+    )
+    def test_grouped_equals_one_by_one(self, velocity_mps):
+        cfgs = _environment_group(velocity_mps=velocity_mps, k_factor_sub6_db=10.0)
+        for r in range(3):
+            alone = [run_realization([cfg], r)[0] for cfg in cfgs]
+            assert run_realization(cfgs, r) == alone
+            assert run_realization(cfgs[::-1], r) == alone[::-1]
+
+    def test_rejects_mixed_environments(self):
+        cfgs = [make_config(), make_config(k_factor_sub6_db=10.0)]
+        with pytest.raises(ValueError, match="share the environment point"):
+            run_realization(cfgs, 0)
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(
+        k_factor_db=st.floats(min_value=-20.0, max_value=20.0),
+        snr_db=st.floats(min_value=-10.0, max_value=10.0),
+        k_p=st.sampled_from((1, 2, 4)),
+        realization=st.integers(min_value=0, max_value=1000),
+    )
+    def test_perfect_bounds_estimates_when_static(
+        self, k_factor_db, snr_db, k_p, realization
+    ):
+        base = make_config(
+            k_p=k_p, k_factor_sub6_db=k_factor_db, snr_db_mmw=snr_db,
+            snr_db_sub6=snr_db + 20.0,
+        )
+        methods = (Method.CONVENTIONAL, Method.OOBA_MRC, Method.PERFECT)
+        cfgs = [replace(base, estimation_method=m) for m in methods]
+        conventional, ooba_mrc, perfect = run_realization(cfgs, realization)
+        assert conventional <= perfect + 1e-9
+        assert ooba_mrc <= perfect + 1e-9
 
 
 class TestVelocityTrend:
@@ -117,7 +165,7 @@ class TestNlosMethodGap:
                 estimation_method=method,
                 n_realizations=1,
             )
-            ses[method] = np.mean([run_realization(cfg, r) for r in range(80)])
+            ses[method] = np.mean([run_realization([cfg], r)[0] for r in range(80)])
         gap = abs(ses[Method.OOBA_MRC] - ses[Method.CONVENTIONAL])
         assert gap < 0.1
 
