@@ -23,25 +23,15 @@ _DUMP_MAGIC = b"MMLKCHT1"
 
 
 @dataclass(frozen=True)
-class LosGeometry:
-    """Line-of-sight path shared by both bands.
-
-    Departure/arrival angles are common to the co-located arrays; the
-    reference-antenna phase offset and Doppler shift are per band.
-    """
+class PlaneWave:
+    """A rank-1 ray a_rx(aoa) a_tx(aod)^H exp(j(phase + 2 pi nu k / df)):
+    the line-of-sight path of a band, or the specular ray of its
+    scattered component."""
 
     aod_rad: float
     aoa_rad: float
-    chi_sub6_rad: float
-    chi_mmw_rad: float
-    doppler_sub6_hz: float
-    doppler_mmw_hz: float
-
-    def chi(self, band_id: Band) -> float:
-        return self.chi_sub6_rad if band_id == Band.SUB6 else self.chi_mmw_rad
-
-    def doppler_hz(self, band_id: Band) -> float:
-        return self.doppler_sub6_hz if band_id == Band.SUB6 else self.doppler_mmw_hz
+    phase_rad: float
+    doppler_hz: float
 
 
 def velocity_mps_to_max_doppler(velocity_mps: float, band: BandConfig) -> float:
@@ -49,31 +39,36 @@ def velocity_mps_to_max_doppler(velocity_mps: float, band: BandConfig) -> float:
     return velocity_mps / band.wavelength_m
 
 
+def _moving_wave(
+    aod: float, aoa: float, phase: float, band: BandConfig, velocity_mps: float
+) -> PlaneWave:
+    """A ray whose Doppler is (v / wavelength) * cos(AoA), i.e. the
+    receiver moves along its array axis."""
+    doppler = velocity_mps_to_max_doppler(velocity_mps, band) * np.cos(aoa)
+    return PlaneWave(aod, aoa, phase, doppler)
+
+
 def sample_geometry(
     rng: np.random.Generator,
     sub6: BandConfig,
     mmw: BandConfig,
     velocity_mps: float,
-) -> LosGeometry:
-    """Draw angles and phase offsets; Doppler follows receiver motion.
+) -> dict[Band, PlaneWave]:
+    """Draw the line-of-sight ray of each band; Doppler follows receiver
+    motion.
 
-    AoD and AoA are independent U[-pi/2, pi/2], phase offsets independent
-    U[-pi, pi). The LOS Doppler is (v / wavelength) * cos(AoA), i.e. the
-    receiver moves along its array axis.
+    Departure/arrival angles are common to the co-located arrays and
+    independent U[-pi/2, pi/2]; the reference-antenna phase offsets are
+    per band and independent U[-pi, pi).
     """
     aod = rng.uniform(-np.pi / 2, np.pi / 2)
     aoa = rng.uniform(-np.pi / 2, np.pi / 2)
     chi_s = rng.uniform(-np.pi, np.pi)
     chi_m = rng.uniform(-np.pi, np.pi)
-    cos_aoa = np.cos(aoa)
-    return LosGeometry(
-        aod_rad=aod,
-        aoa_rad=aoa,
-        chi_sub6_rad=chi_s,
-        chi_mmw_rad=chi_m,
-        doppler_sub6_hz=velocity_mps_to_max_doppler(velocity_mps, sub6) * cos_aoa,
-        doppler_mmw_hz=velocity_mps_to_max_doppler(velocity_mps, mmw) * cos_aoa,
-    )
+    return {
+        Band.SUB6: _moving_wave(aod, aoa, chi_s, sub6, velocity_mps),
+        Band.MMWAVE: _moving_wave(aod, aoa, chi_m, mmw, velocity_mps),
+    }
 
 
 def steering_vector(
@@ -91,16 +86,14 @@ def steering_vector(
 
 
 def los_sequence(
-    geom: LosGeometry, band: BandConfig, symbol_indices: np.ndarray
+    wave: PlaneWave, band: BandConfig, symbol_indices: np.ndarray
 ) -> np.ndarray:
-    """LOS matrices for a set of symbol indices, shape (m_rx, m_tx, K)."""
-    a_tx = steering_vector(band.m_tx, band.element_spacing_wavelengths, geom.aod_rad)
-    a_rx = steering_vector(band.m_rx, band.element_spacing_wavelengths, geom.aoa_rad)
-    nu = geom.doppler_hz(band.band_id)
+    """Matrices of one ray at a set of symbol indices, shape (m_rx, m_tx, K)."""
+    a_tx = steering_vector(band.m_tx, band.element_spacing_wavelengths, wave.aod_rad)
+    a_rx = steering_vector(band.m_rx, band.element_spacing_wavelengths, wave.aoa_rad)
     k = np.asarray(symbol_indices, dtype=np.float64)
-    phasor = np.exp(
-        1j * (geom.chi(band.band_id) + 2.0 * np.pi * nu * k / band.subcarrier_spacing_hz)
-    )
+    df = band.subcarrier_spacing_hz
+    phasor = np.exp(1j * (wave.phase_rad + 2.0 * np.pi * wave.doppler_hz * k / df))
     return np.einsum("r,t,k->rtk", a_rx, np.conj(a_tx), phasor)
 
 
@@ -209,44 +202,23 @@ class JakesProcess:
         return np.exp(1j * arg).sum(axis=-2) / np.sqrt(N_SINUSOIDS)
 
 
-@dataclass(frozen=True)
-class SpecularTap:
-    """Plane-wave component carried by the zero-delay tap.
-
-    Mirrors the dominant first cluster of the urban-macro LOS profile: a
-    single reflected ray, rank-1 across the arrays, with its own phase
-    and Doppler. power_fraction is its share of the total
-    scattered-component power; the zero-delay tap of the delay profile
-    must cover it.
-    """
-
-    power_fraction: float
-    aod_rad: float
-    aoa_rad: float
-    phase_rad: float
-    doppler_hz: float
-
-
 def sample_specular_tap(
     rng: np.random.Generator,
     band: BandConfig,
     velocity_mps: float,
-) -> SpecularTap:
+) -> PlaneWave:
     """Draw a random reflector ray for one band.
 
-    Angles, phase and Doppler are drawn per band so the scattered
-    components of the two bands stay statistically independent.
+    Mirrors the dominant first cluster of the urban-macro LOS profile: a
+    single reflected ray, rank-1 across the arrays, with its own phase
+    and Doppler. Angles, phase and Doppler are drawn per band so the
+    scattered components of the two bands stay statistically
+    independent.
     """
     aod = rng.uniform(-np.pi / 2, np.pi / 2)
     aoa = rng.uniform(-np.pi / 2, np.pi / 2)
     phase = rng.uniform(-np.pi, np.pi)
-    return SpecularTap(
-        power_fraction=SPECULAR_FRACTION,
-        aod_rad=aod,
-        aoa_rad=aoa,
-        phase_rad=phase,
-        doppler_hz=velocity_mps_to_max_doppler(velocity_mps, band) * np.cos(aoa),
-    )
+    return _moving_wave(aod, aoa, phase, band, velocity_mps)
 
 
 def stochastic_channel(
@@ -254,15 +226,15 @@ def stochastic_channel(
     band: BandConfig,
     jakes: JakesProcess,
     symbol_indices: np.ndarray,
-    specular: SpecularTap | None = None,
+    specular: PlaneWave | None = None,
 ) -> np.ndarray:
     """Frequency response of the scattered component, (m_rx, m_tx, N, K).
 
     H[r, t, n, k] = sum_l g_{r,t,l}[k] sqrt(p_l) exp(-j 2 pi f_n tau_l)
     with f_n the centered baseband subcarrier frequency. When a specular
-    tap is given, that share of the zero-delay power is a rank-1 plane
-    wave instead of an i.i.d. coefficient. Entries have unit average
-    power either way.
+    ray is given, SPECULAR_FRACTION of the zero-delay power is that
+    rank-1 plane wave instead of an i.i.d. coefficient; the zero-delay
+    tap must cover it. Entries have unit average power either way.
     """
     if jakes.omega.shape[:-1] != (band.m_rx, band.m_tx, profile.n_taps):
         raise ValueError("jakes process shape must be (m_rx, m_tx, n_taps)")
@@ -270,11 +242,11 @@ def stochastic_channel(
     times = k / band.subcarrier_spacing_hz
     g = jakes.gains(times)  # (m_rx, m_tx, L, K)
     powers = profile.powers
-    if specular is not None and specular.power_fraction > 0:
-        if profile.delays_s[0] != 0.0 or powers[0] < specular.power_fraction:
+    if specular is not None:
+        if profile.delays_s[0] != 0.0 or powers[0] < SPECULAR_FRACTION:
             raise ValueError("specular power exceeds the zero-delay tap")
         powers = powers.copy()
-        powers[0] -= specular.power_fraction
+        powers[0] -= SPECULAR_FRACTION
     n = np.arange(band.n_subcarriers)
     f_n = (n - (band.n_subcarriers - 1) / 2.0) * band.subcarrier_spacing_hz
     basis = np.sqrt(powers)[:, None] * np.exp(
@@ -282,28 +254,13 @@ def stochastic_channel(
     )  # (L, N)
     h = np.tensordot(g, basis, axes=([2], [0]))  # (m_rx, m_tx, K, N)
     h = np.ascontiguousarray(h.transpose(0, 1, 3, 2))
-    if specular is not None and specular.power_fraction > 0:
-        a_tx = steering_vector(
-            band.m_tx, band.element_spacing_wavelengths, specular.aod_rad
-        )
-        a_rx = steering_vector(
-            band.m_rx, band.element_spacing_wavelengths, specular.aoa_rad
-        )
-        phasor = np.exp(
-            1j
-            * (
-                specular.phase_rad
-                + 2.0 * np.pi * specular.doppler_hz * k / band.subcarrier_spacing_hz
-            )
-        )
-        ray = np.einsum("r,t,k->rtk", a_rx, np.conj(a_tx), phasor)
-        h += np.sqrt(specular.power_fraction) * ray[:, :, None, :]
+    if specular is not None:
+        ray = los_sequence(specular, band, k)
+        h += np.sqrt(SPECULAR_FRACTION) * ray[:, :, None, :]
     return h
 
 
-def compose_channel(
-    los: np.ndarray, sp: np.ndarray, k_factor_linear: float, eta: float = 1.0
-) -> np.ndarray:
+def compose_channel(los: np.ndarray, sp: np.ndarray, k_factor_linear: float) -> np.ndarray:
     """Weighted Rician sum of the LOS and scattered components.
 
     los may omit the subcarrier axis (it is frequency flat) in which case
@@ -313,20 +270,21 @@ def compose_channel(
         raise ValueError("K-factor must be >= 0")
     if los.ndim == 3 and sp.ndim == 4:
         los = los[:, :, None, :]
-    w_los = np.sqrt(eta * k_factor_linear / (1.0 + k_factor_linear))
-    w_sp = np.sqrt(eta / (1.0 + k_factor_linear))
+    w_los = np.sqrt(k_factor_linear / (1.0 + k_factor_linear))
+    w_sp = np.sqrt(1.0 / (1.0 + k_factor_linear))
     return w_los * los + w_sp * sp
 
 
 def synthesize_band(
     cfg: SimConfig,
     band_id: Band,
-    geom: LosGeometry,
+    geom: dict[Band, PlaneWave],
     stochastic_rng: np.random.Generator,
 ) -> ChannelTensor:
     """Build the full channel tensor for one band over its whole frame.
 
-    The scattered component's specular tap gets its own random reflector
+    geom holds the line-of-sight ray of each band (sample_geometry). The
+    scattered component's specular tap gets its own random reflector
     ray, drawn from this band's stochastic stream. At zero velocity both
     components are time invariant, so a single snapshot is broadcast over
     the symbol axis.
@@ -345,7 +303,7 @@ def synthesize_band(
         stochastic_rng,
     )
     sp = stochastic_channel(profile, band, jakes, symbols, specular)
-    los = los_sequence(geom, band, symbols)
+    los = los_sequence(geom[band_id], band, symbols)
     data = compose_channel(los, sp, cfg.k_factor_linear(band_id))
     if static:
         data = np.broadcast_to(data, data.shape[:3] + (n_symbols,))

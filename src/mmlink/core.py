@@ -58,10 +58,6 @@ class BandConfig:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq_hz
 
-    @property
-    def symbol_duration_s(self) -> float:
-        return 1.0 / self.subcarrier_spacing_hz
-
 
 @dataclass(frozen=True)
 class SimConfig:

@@ -27,17 +27,6 @@ class ChannelEstimate:
     data: np.ndarray
 
 
-def _interp_comb(
-    raw: np.ndarray, pilot_subcarriers: np.ndarray, n_subcarriers: int
-) -> np.ndarray:
-    """Linear interpolation of per-pilot rows onto the full band."""
-    grid = np.arange(n_subcarriers)
-    out = np.empty(raw.shape[:-1] + (n_subcarriers,), dtype=np.complex128)
-    for idx in np.ndindex(raw.shape[:-1]):
-        out[idx] = np.interp(grid, pilot_subcarriers, raw[idx])
-    return out
-
-
 def ls_estimate(
     obs: TrainingObservations,
     grid: PilotGrid,
@@ -49,21 +38,16 @@ def ls_estimate(
     The reverse direction estimates the reciprocal (transposed) link and
     is returned in forward orientation (m_rx, m_tx, N).
     """
-    n = grid.n_subcarriers
-    if direction == FORWARD:
-        y, values = obs.y_fwd, grid.values_fwd
-    else:
-        y, values = obs.y_rev, grid.values_rev
-    n_tx = grid.n_antennas(direction)
-    n_rx = y.shape[0]
-    est = np.empty((n_rx, n_tx, n), dtype=np.complex128)
-    for t in range(n_tx):
-        sym = grid.antenna_symbol(t, direction)
-        if direction != FORWARD:
-            sym -= grid.k_p  # index into the reverse observation block
-        pilots = grid.pilot_subcarriers(t, direction)
-        raw = y[:, pilots, sym] / values[t][None, :]
-        est[:, t, :] = _interp_comb(raw, pilots, n)
+    y, comb = (obs.y_fwd, grid.fwd) if direction == FORWARD else (obs.y_rev, grid.rev)
+    antennas = np.arange(len(comb.values))[:, None]
+    pilots = comb.subcarriers(antennas)  # (transmitters, N/G)
+    # (receivers, transmitters, N/G): every pilot in one gather
+    raw = y[:, pilots, comb.symbol(antennas)] / comb.values
+    n_rx, n_tx, _ = raw.shape
+    band_grid = np.arange(comb.n_subcarriers)
+    est = np.empty((n_rx, n_tx, band_grid.size), dtype=np.complex128)
+    for r, t in np.ndindex(n_rx, n_tx):
+        est[r, t] = np.interp(band_grid, pilots[t], raw[r, t])
     if direction != FORWARD:
         est = est.transpose(1, 0, 2)
     return ChannelEstimate(band_id=band.band_id, data=est)

@@ -43,6 +43,10 @@ class SweepSpec:
                 raise ValueError(f"unknown sweep parameter '{name}'")
             if len(values) == 0:
                 raise ValueError(f"axis '{name}' has no values")
+            # equal after parsing (5 and 5.0) would run the same point twice
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ValueError(f"axis '{name}' repeats the value {repeats[0]!r}")
 
     def points(self) -> list[dict]:
         if not self.axes:
@@ -105,7 +109,7 @@ def _environment(cfg: SimConfig) -> SimConfig:
 
 def _sub6_statistics(
     cfgs: Sequence[SimConfig],
-    geom: ch.LosGeometry,
+    geom: dict[Band, ch.PlaneWave],
     tree: SeedTree,
     realization: int,
 ) -> dict[int, tuple[float, tuple[float, float]]]:
@@ -150,14 +154,12 @@ def _ooba_mrc_estimate(
     """Combine the in-band estimate with the rank-1 sub-6 GHz-aided one."""
     grid, obs, inband = training
     kappa, angles = sub6
-    k_p = grid.k_p
-    # The LOS gain/phase comes from the freshest in-band pilots: the last
-    # reverse-direction symbol, one symbol before the data phase for every
-    # pilot pattern. This keeps the aging of the rank-1 estimate
-    # independent of K_P.
+    # The LOS gain/phase comes from the freshest in-band pilots: the
+    # receive antennas of the last reverse-direction symbol, one symbol
+    # before the data phase for every pilot pattern. This keeps the aging
+    # of the rank-1 estimate independent of K_P.
     est_rev = estimation.ls_estimate(obs, grid, band, direction=pilots.REVERSE)
-    group = band.m_rx // k_p
-    fresh_rows = np.arange((k_p - 1) * group, k_p * group)
+    fresh_rows = grid.rev.antennas(grid.k_p - 1)
     oob = estimation.oob_aided_estimate(angles, est_rev, band, rx_rows=fresh_rows)
     weight = combining.compute_weight(band.m_tx, band.m_rx, noise_power, kappa)
     return combining.combine_mrc(oob, inband, weight)

@@ -1,9 +1,12 @@
 """Comb pilot patterns spanning 1, 2 or 4 OFDM symbols per link direction.
 
-Antennas are split into K_P groups of G = M/K_P; group g transmits during
-training symbol g+1 (forward) and K_P+g+1 (reverse). Within its symbol,
-antenna t occupies the comb {o, o+G, o+2G, ...} with offset o = t mod G,
-so the G active antennas tile all subcarriers without overlapping.
+One direction's layout is a comb: its M transmit antennas are split into
+K_P groups of G = M/K_P, and group g transmits during training symbol g
+of the direction's block. Within its symbol, antenna t occupies the comb
+{o, o+G, o+2G, ...} with offset o = t mod G, so the G active antennas
+tile all subcarriers without overlapping. Forward training uses the
+comb of the transmit array on H; reverse training, K_P symbols later, is
+the same layout for the receive array on the reciprocal link H^T.
 """
 
 from __future__ import annotations
@@ -25,50 +28,68 @@ def _qpsk(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PilotGrid:
-    """Pilot positions and symbol values for both TDD directions.
+class Comb:
+    """Pilot layout of one direction's K_P training symbols.
 
-    values_fwd[t, j] is the pilot transmitted by antenna t on its j-th
-    comb subcarrier (t % G + j*G); values_rev likewise for the reverse
-    direction, whose transmit array is the receiver's.
+    values[t, j] is the pilot transmitted by antenna t on its j-th comb
+    subcarrier t % G + j*G; values has shape (M, N/G).
     """
 
     k_p: int
-    n_subcarriers: int
-    m_fwd: int
-    m_rev: int
-    values_fwd: np.ndarray
-    values_rev: np.ndarray
+    values: np.ndarray
 
-    def group_size(self, direction: str) -> int:
-        m = self.m_fwd if direction == FORWARD else self.m_rev
-        return m // self.k_p
+    @property
+    def group_size(self) -> int:
+        return self.values.shape[0] // self.k_p
 
-    def n_antennas(self, direction: str) -> int:
-        return self.m_fwd if direction == FORWARD else self.m_rev
+    @property
+    def n_subcarriers(self) -> int:
+        return self.group_size * self.values.shape[1]
 
-    def antenna_symbol(self, antenna: int, direction: str) -> int:
-        """Absolute 0-based training-symbol index used by this antenna."""
-        group = antenna // self.group_size(direction)
-        return group if direction == FORWARD else self.k_p + group
+    def symbol(self, antenna):
+        """0-based training symbol of an antenna, within the block."""
+        return antenna // self.group_size
 
-    def pilot_subcarriers(self, antenna: int, direction: str) -> np.ndarray:
-        g = self.group_size(direction)
-        return antenna % g + g * np.arange(self.n_subcarriers // g)
+    def antennas(self, symbol: int) -> np.ndarray:
+        """The antennas that transmit during one training symbol."""
+        g = self.group_size
+        return np.arange(symbol * g, (symbol + 1) * g)
 
-    def symbol_owner(self, local_symbol: int, direction: str) -> np.ndarray:
+    def subcarriers(self, antenna) -> np.ndarray:
+        """Comb subcarriers of an antenna (of each, for a column of them)."""
+        g = self.group_size
+        return antenna % g + g * np.arange(self.values.shape[1])
+
+    def owner(self, symbol: int) -> np.ndarray:
         """Transmitting antenna per subcarrier in one training symbol."""
-        g = self.group_size(direction)
-        n = np.arange(self.n_subcarriers)
-        return local_symbol * g + (n % g)
+        g = self.group_size
+        return symbol * g + np.arange(self.n_subcarriers) % g
+
+
+@dataclass(frozen=True)
+class PilotGrid:
+    """Combs of both TDD directions: fwd for the transmit array, rev for
+    the receive array, which transmits on the reciprocal link."""
+
+    fwd: Comb
+    rev: Comb
+
+    @property
+    def k_p(self) -> int:
+        return self.fwd.k_p
 
     def rows(self) -> list[tuple[int, str, int, int]]:
-        """1-based (antenna, direction, symbol, subcarrier) rows for dumps."""
+        """1-based (antenna, direction, symbol, subcarrier) rows for dumps.
+
+        Symbols count over the whole training block, so the reverse
+        symbols follow the K_P forward ones.
+        """
         out = []
-        for direction in (FORWARD, REVERSE):
-            for t in range(self.n_antennas(direction)):
-                sym = self.antenna_symbol(t, direction) + 1
-                for n in self.pilot_subcarriers(t, direction):
+        blocks = ((FORWARD, self.fwd, 1), (REVERSE, self.rev, 1 + self.k_p))
+        for direction, comb, first in blocks:
+            for t in range(len(comb.values)):
+                sym = first + comb.symbol(t)
+                for n in comb.subcarriers(t):
                     out.append((t + 1, direction, sym, int(n) + 1))
         return out
 
@@ -83,16 +104,9 @@ def build_pilot_grid(
     if violations:
         raise ValueError(violations[0])
     n = band.n_subcarriers
-    values_fwd = _qpsk(rng, (band.m_tx, n // (band.m_tx // k_p)))
-    values_rev = _qpsk(rng, (band.m_rx, n // (band.m_rx // k_p)))
-    return PilotGrid(
-        k_p=k_p,
-        n_subcarriers=n,
-        m_fwd=band.m_tx,
-        m_rev=band.m_rx,
-        values_fwd=values_fwd,
-        values_rev=values_rev,
-    )
+    fwd = Comb(k_p, _qpsk(rng, (band.m_tx, n // (band.m_tx // k_p))))
+    rev = Comb(k_p, _qpsk(rng, (band.m_rx, n // (band.m_rx // k_p))))
+    return PilotGrid(fwd=fwd, rev=rev)
 
 
 @dataclass(frozen=True)
@@ -108,6 +122,24 @@ class TrainingObservations:
     y_rev: np.ndarray  # (m_tx, N, K_P)
 
 
+def _observe(
+    h: np.ndarray, comb: Comb, noise_power: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Received pilots of one direction's block; h is (receivers,
+    transmitters, N, K_P) at the block's symbols."""
+    n_rx, _, n_sc, k_p = h.shape
+    cols = np.arange(n_sc)
+    y = np.empty((n_rx, n_sc, k_p), dtype=np.complex128)
+    for s in range(k_p):
+        owner = comb.owner(s)
+        vals = comb.values[owner, cols // comb.group_size]
+        noise = np.sqrt(noise_power / 2.0) * (
+            rng.standard_normal((n_rx, n_sc)) + 1j * rng.standard_normal((n_rx, n_sc))
+        )
+        y[:, :, s] = h[:, owner, cols, s] * vals + noise
+    return y
+
+
 def transmit_training(
     H: np.ndarray,
     grid: PilotGrid,
@@ -117,30 +149,19 @@ def transmit_training(
     """Pass pilots through the time-varying channel and add receiver noise.
 
     Every (subcarrier, symbol) cell in the training block carries exactly
-    one antenna's pilot, so the output is dense. Reverse symbols use the
-    transpose of H at their own (later) time indices.
+    one antenna's pilot, so the output is dense. Forward symbols see H at
+    times 0..K_P-1; reverse symbols see its transpose at K_P..2K_P-1.
     """
     m_rx, m_tx, n_sc, n_sym = H.shape
-    if m_tx != grid.m_fwd or m_rx != grid.m_rev or n_sc != grid.n_subcarriers:
+    k_p = grid.k_p
+    if (m_tx, m_rx) != (len(grid.fwd.values), len(grid.rev.values)) or (
+        n_sc != grid.fwd.n_subcarriers
+    ):
         raise ValueError("channel tensor does not match the pilot grid")
-    if n_sym < 2 * grid.k_p:
+    if n_sym < 2 * k_p:
         raise ValueError("channel tensor is shorter than the training block")
-    cols = np.arange(n_sc)
-    y_fwd = np.empty((m_rx, n_sc, grid.k_p), dtype=np.complex128)
-    for s in range(grid.k_p):
-        owner = grid.symbol_owner(s, FORWARD)
-        vals = grid.values_fwd[owner, cols // grid.group_size(FORWARD)]
-        noise = np.sqrt(noise_power / 2.0) * (
-            rng.standard_normal((m_rx, n_sc)) + 1j * rng.standard_normal((m_rx, n_sc))
-        )
-        y_fwd[:, :, s] = H[:, owner, cols, s] * vals + noise
-    y_rev = np.empty((m_tx, n_sc, grid.k_p), dtype=np.complex128)
-    for s in range(grid.k_p):
-        owner = grid.symbol_owner(s, REVERSE)
-        vals = grid.values_rev[owner, cols // grid.group_size(REVERSE)]
-        h_rev = H[:, :, :, grid.k_p + s].transpose(1, 0, 2)  # reciprocal link
-        noise = np.sqrt(noise_power / 2.0) * (
-            rng.standard_normal((m_tx, n_sc)) + 1j * rng.standard_normal((m_tx, n_sc))
-        )
-        y_rev[:, :, s] = h_rev[:, owner, cols] * vals + noise
+    y_fwd = _observe(H[..., :k_p], grid.fwd, noise_power, rng)
+    y_rev = _observe(
+        H[..., k_p : 2 * k_p].transpose(1, 0, 2, 3), grid.rev, noise_power, rng
+    )
     return TrainingObservations(y_fwd=y_fwd, y_rev=y_rev)

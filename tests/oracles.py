@@ -78,3 +78,19 @@ def jakes_autocorrelation(
         shifted = jakes.gains(times + lag)
         out[i] = np.real(np.mean(base * np.conj(shifted), axis=-1) / power)
     return out
+
+
+def ls_per_antenna(obs, grid, direction: str) -> np.ndarray:
+    """LS estimate one transmit antenna at a time: divide its pilots,
+    then interpolate each receive row across the band. The reverse
+    direction's estimate is returned in forward orientation."""
+    y, comb = (obs.y_fwd, grid.fwd) if direction == "forward" else (obs.y_rev, grid.rev)
+    band_grid = np.arange(comb.n_subcarriers)
+    n_rx, n_tx = y.shape[0], len(comb.values)
+    est = np.empty((n_rx, n_tx, band_grid.size), dtype=np.complex128)
+    for t in range(n_tx):
+        pilots = comb.subcarriers(t)
+        raw = y[:, pilots, comb.symbol(t)] / comb.values[t][None, :]
+        for r in range(n_rx):
+            est[r, t] = np.interp(band_grid, pilots, raw[r])
+    return est if direction == "forward" else est.transpose(1, 0, 2)

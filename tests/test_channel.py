@@ -7,9 +7,9 @@ from scipy.special import j0
 
 from mmlink.core import Band, ChannelTensor
 from mmlink.channel import (
+    SPECULAR_FRACTION,
     JakesProcess,
-    LosGeometry,
-    SpecularTap,
+    PlaneWave,
     compose_channel,
     dump_channel_tensor,
     load_channel_tensor,
@@ -26,14 +26,10 @@ from oracles import jakes_autocorrelation
 
 
 def make_geom(aod=0.0, aoa=0.0, chi_s=0.0, chi_m=0.0, nu_s=0.0, nu_m=0.0):
-    return LosGeometry(
-        aod_rad=aod,
-        aoa_rad=aoa,
-        chi_sub6_rad=chi_s,
-        chi_mmw_rad=chi_m,
-        doppler_sub6_hz=nu_s,
-        doppler_mmw_hz=nu_m,
-    )
+    return {
+        Band.SUB6: PlaneWave(aod, aoa, chi_s, nu_s),
+        Band.MMWAVE: PlaneWave(aod, aoa, chi_m, nu_m),
+    }
 
 
 class TestSteeringVector:
@@ -72,13 +68,13 @@ class TestSteeringVector:
 class TestFreeSpace:
     def test_zero_angles_all_ones(self):
         band = make_band(Band.MMWAVE)
-        h = los_sequence(make_geom(), band, np.array([1]))
+        h = los_sequence(make_geom()[Band.MMWAVE], band, np.array([1]))
         assert np.allclose(h, np.ones((8, 8, 1)))
 
     def test_rank_one(self, rng):
         band = make_band(Band.MMWAVE)
         geom = make_geom(aod=0.4, aoa=-0.8, chi_m=1.1, nu_m=300.0)
-        h = los_sequence(geom, band, np.array([3]))[:, :, 0]
+        h = los_sequence(geom[Band.MMWAVE], band, np.array([3]))[:, :, 0]
         s = np.linalg.svd(h, compute_uv=False)
         assert s[0] == pytest.approx(np.sqrt(8 * 8))
         assert np.all(s[1:] < 1e-10)
@@ -88,7 +84,7 @@ class TestFreeSpace:
         band = make_band(Band.MMWAVE)
         nu = band.subcarrier_spacing_hz / 4.0
         geom = make_geom(aod=0.2, aoa=0.3, nu_m=nu)
-        h = los_sequence(geom, band, np.array([1, 3]))
+        h = los_sequence(geom[Band.MMWAVE], band, np.array([1, 3]))
         assert np.allclose(h[:, :, 1] / h[:, :, 0], np.exp(1j * np.pi))
 
 
@@ -213,9 +209,7 @@ class TestStochasticChannel:
     def test_specular_power_split(self, rng):
         band = make_band(Band.MMWAVE, n_subcarriers=16, m_tx=4, m_rx=4)
         profile = make_tdl_profile(841e-9, specular_fraction=0.5)
-        tap = SpecularTap(
-            power_fraction=0.5, aod_rad=0.3, aoa_rad=-0.2, phase_rad=1.0, doppler_hz=0.0
-        )
+        tap = PlaneWave(aod_rad=0.3, aoa_rad=-0.2, phase_rad=1.0, doppler_hz=0.0)
         total, count = 0.0, 0
         for seed in range(60):
             g = np.random.Generator(np.random.PCG64(seed))
@@ -227,11 +221,11 @@ class TestStochasticChannel:
 
     def test_specular_exceeding_tap_power_rejected(self, rng):
         band = make_band(Band.MMWAVE, n_subcarriers=16, m_tx=2, m_rx=2)
+        # the ray carries SPECULAR_FRACTION, more than this zero-delay tap holds
         profile = make_tdl_profile(300e-9, n_taps=4, specular_fraction=0.2)
+        assert profile.powers[0] < SPECULAR_FRACTION
         jakes = JakesProcess.sample((2, 2, 4), 0.0, rng)
-        tap = SpecularTap(
-            power_fraction=0.9, aod_rad=0.0, aoa_rad=0.0, phase_rad=0.0, doppler_hz=0.0
-        )
+        tap = PlaneWave(aod_rad=0.0, aoa_rad=0.0, phase_rad=0.0, doppler_hz=0.0)
         with pytest.raises(ValueError, match="specular power"):
             stochastic_channel(profile, band, jakes, np.array([1]), tap)
 
@@ -273,7 +267,8 @@ class TestGeometry:
         aods = []
         for _ in range(10_000):
             geom = sample_geometry(rng, cfg.sub6, cfg.mmw, 10.0)
-            aods.append(geom.aod_rad)
+            assert geom[Band.SUB6].aod_rad == geom[Band.MMWAVE].aod_rad
+            aods.append(geom[Band.MMWAVE].aod_rad)
         aods = np.asarray(aods)
         assert np.all(np.abs(aods) <= np.pi / 2)
         assert abs(np.degrees(np.mean(aods))) < 3.0
@@ -281,17 +276,16 @@ class TestGeometry:
     def test_zero_velocity_zero_doppler(self, rng):
         cfg = make_config()
         geom = sample_geometry(rng, cfg.sub6, cfg.mmw, 0.0)
-        assert geom.doppler_sub6_hz == 0.0
-        assert geom.doppler_mmw_hz == 0.0
+        assert geom[Band.SUB6].doppler_hz == 0.0
+        assert geom[Band.MMWAVE].doppler_hz == 0.0
 
     def test_doppler_magnitude(self, rng):
         cfg = make_config()
         geom = sample_geometry(rng, cfg.sub6, cfg.mmw, 30.0)
         nu_max = 30.0 / cfg.mmw.wavelength_m
         assert nu_max == pytest.approx(2551.0, rel=2e-3)
-        assert geom.doppler_mmw_hz == pytest.approx(
-            nu_max * np.cos(geom.aoa_rad), rel=1e-12
-        )
+        los = geom[Band.MMWAVE]
+        assert los.doppler_hz == pytest.approx(nu_max * np.cos(los.aoa_rad), rel=1e-12)
 
 
 class TestSynthesizeBand:

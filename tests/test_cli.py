@@ -47,6 +47,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert "pilot_symbols_per_direction must be 1, 2 or 4" in err
 
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            ["pilot_k_p=2,2", "method=conventional,conventional"],
+            ["k_factor_db=5,5.0"],
+        ],
+    )
+    def test_repeated_axis_value_exits_2(self, sets, mini_config_path, capsys):
+        argv = ["run", "--config", mini_config_path]
+        for pair in sets:
+            argv += ["--set", pair]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "repeats the value" in captured.err
+        assert captured.out == ""
+
     def test_missing_config_exits_1(self, capsys):
         code = main(["run", "--config", "/nonexistent/path.ini"])
         assert code == 1

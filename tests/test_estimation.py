@@ -22,6 +22,7 @@ from mmlink.estimation import (
 from mmlink.pilots import FORWARD, REVERSE, build_pilot_grid, transmit_training
 
 from conftest import make_band
+from oracles import ls_per_antenna
 
 
 def run_ls(h, band, k_p, noise_power=0.0, seed=0, direction=FORWARD):
@@ -56,7 +57,7 @@ class TestLsEstimate:
         for k_p in (1, 2, 4):
             est, grid = run_ls(h, band, k_p)
             for t in range(8):
-                pilots = grid.pilot_subcarriers(t, FORWARD)
+                pilots = grid.fwd.subcarriers(t)
                 assert np.allclose(
                     est.data[:, t, pilots], h[:, t, pilots, 0], atol=1e-10
                 )
@@ -70,7 +71,7 @@ class TestLsEstimate:
         h = np.broadcast_to(h[:, :, :, None], (8, 8, 32, 11)).copy()
         est, grid = run_ls(h, band, 2)
         for t in range(8):
-            pilots = grid.pilot_subcarriers(t, FORWARD)
+            pilots = grid.fwd.subcarriers(t)
             inside = slice(pilots[0], pilots[-1] + 1)
             assert np.allclose(est.data[:, t, inside], h[:, t, inside, 0], atol=1e-10)
 
@@ -84,7 +85,7 @@ class TestLsEstimate:
         est, grid = run_ls(h, band, 4)  # comb stride 2
         err = np.abs(est.data - h[:, :, :, 0])
         for t in range(8):
-            pilots = grid.pilot_subcarriers(t, FORWARD)
+            pilots = grid.fwd.subcarriers(t)
             assert np.max(err[:, t, pilots]) < 1e-10
         # linear interpolation error <= curvature * stride^2 / 8, with the
         # curvature of a two-tap response bounded per antenna pair by
@@ -96,7 +97,7 @@ class TestLsEstimate:
         )
         bound = g1 * (2 * np.pi * df * tau) ** 2 * (2**2) / 8.0
         for t in range(8):
-            pilots = grid.pilot_subcarriers(t, FORWARD)
+            pilots = grid.fwd.subcarriers(t)
             interior = slice(pilots[0], pilots[-1] + 1)
             assert np.all(
                 err[:, t, interior].max(axis=1) <= bound[:, t] * 1.01 + 1e-12
@@ -121,7 +122,7 @@ class TestLsEstimate:
         for seed in range(60):
             est, grid = run_ls(h, band, 2, noise_power=sigma2, seed=seed)
             for t in range(8):
-                pilots = grid.pilot_subcarriers(t, FORWARD)
+                pilots = grid.fwd.subcarriers(t)
                 energy += np.sum(np.abs(est.data[:, t, pilots]) ** 2)
                 count += est.data[:, t, pilots].size
         # unit-modulus pilots make the LS noise variance sigma_w^2 per entry
@@ -139,7 +140,7 @@ class TestLsEstimate:
             for seed in range(30):
                 est, grid = run_ls(h, band, 2, noise_power=sigma2, seed=seed)
                 for t in range(8):
-                    pilots = grid.pilot_subcarriers(t, FORWARD)
+                    pilots = grid.fwd.subcarriers(t)
                     err += np.sum(
                         np.abs(est.data[:, t, pilots] - h[:, t, pilots, 0]) ** 2
                     )
@@ -147,6 +148,27 @@ class TestLsEstimate:
             errors.append(err / count)
         slopes = np.diff(np.log10(errors)) / np.diff(np.log10(sigmas))
         assert np.allclose(slopes, 1.0, atol=0.05)
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSE])
+    @pytest.mark.parametrize(
+        "m_tx, m_rx, k_p",
+        [(8, 8, 1), (8, 8, 2), (8, 8, 4), (4, 8, 1), (4, 8, 2), (4, 8, 4),
+         (8, 4, 1), (8, 4, 2), (8, 4, 4), (6, 6, 1), (6, 6, 2)],
+    )
+    def test_matches_per_antenna_oracle(self, m_tx, m_rx, k_p, direction):
+        # (6, 6, 2) is a comb of group size 3; 48 subcarriers tile all
+        band = make_band(Band.MMWAVE, n_subcarriers=48, m_tx=m_tx, m_rx=m_rx)
+        rng = np.random.default_rng(m_tx + 10 * m_rx + 100 * k_p)
+        shape = (m_rx, m_tx, 48, 2 * k_p)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grid = build_pilot_grid(band, k_p, np.random.default_rng(1))
+        obs = transmit_training(h, grid, 0.1, np.random.default_rng(2))
+        est = ls_estimate(obs, grid, band, direction=direction)
+        assert np.array_equal(est.data, ls_per_antenna(obs, grid, direction))
+        # downstream sums depend on memory order: forward is C-contiguous,
+        # reverse the transposed view of a C-contiguous reciprocal estimate
+        stored = est.data if direction == FORWARD else est.data.transpose(1, 0, 2)
+        assert stored.flags.c_contiguous
 
     def test_reverse_direction_returns_forward_orientation(self):
         band = make_band(Band.MMWAVE, n_subcarriers=16, m_tx=4, m_rx=4)

@@ -224,6 +224,20 @@ class TestSweepSpec:
                 base=make_config(), axes=(("snr_db", (0,)), ("snr_db", (1,)))
             )
 
+    @pytest.mark.parametrize(
+        "axis, values, repeated",
+        [
+            ("k_factor_db", (5, 5.0), "5.0"),
+            ("pilot_k_p", (1, 2, 2), "2"),
+            ("method", ("conventional", "perfect", "conventional"), "'conventional'"),
+        ],
+    )
+    def test_repeated_value_rejected(self, axis, values, repeated):
+        # a repeat would compute the same sweep point twice
+        message = f"axis '{axis}' repeats the value {repeated}"
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(base=make_config(), axes=((axis, values),))
+
 
 class TestRunSweep:
     def test_worker_count_does_not_change_csv(self):
