@@ -3,7 +3,6 @@
 from .core import (
     Band,
     BandConfig,
-    ChannelTensor,
     ConfigError,
     Method,
     SeedTree,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Band",
     "BandConfig",
-    "ChannelTensor",
     "ConfigError",
     "Method",
     "SeedTree",

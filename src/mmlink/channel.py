@@ -11,15 +11,11 @@ decorrelation by the velocity.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Band, BandConfig, ChannelTensor, SimConfig
-
-_DUMP_MAGIC = b"MMLKCHT1"
+from .core import Band, BandConfig, SimConfig
 
 
 @dataclass(frozen=True)
@@ -280,8 +276,9 @@ def synthesize_band(
     band_id: Band,
     geom: dict[Band, PlaneWave],
     stochastic_rng: np.random.Generator,
-) -> ChannelTensor:
-    """Build the full channel tensor for one band over its whole frame.
+) -> np.ndarray:
+    """Build the full channel H[rx, tx, subcarrier, symbol] for one band
+    over its whole frame, shape (m_rx, m_tx, N, K).
 
     geom holds the line-of-sight ray of each band (sample_geometry). The
     scattered component's specular tap gets its own random reflector
@@ -307,33 +304,4 @@ def synthesize_band(
     data = compose_channel(los, sp, cfg.k_factor_linear(band_id))
     if static:
         data = np.broadcast_to(data, data.shape[:3] + (n_symbols,))
-    return ChannelTensor(band_id=band_id, data=data)
-
-
-def dump_channel_tensor(tensor: ChannelTensor, path: str) -> None:
-    """Write the tensor as little-endian complex64 with a 32-byte header."""
-    dims = tensor.data.shape
-    band = tensor.band_id.value.encode("ascii")
-    header = _DUMP_MAGIC + struct.pack("<4I", *dims) + band.ljust(8, b"\x00")
-    assert len(header) == 32
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(tensor.data).astype("<c8").tobytes())
-
-
-def load_channel_tensor(path: str) -> ChannelTensor:
-    with open(path, "rb") as fh:
-        header = fh.read(32)
-        if len(header) != 32 or header[:8] != _DUMP_MAGIC:
-            raise ValueError("not a channel tensor dump")
-        dims = struct.unpack("<4I", header[8:24])
-        band = Band(header[24:32].rstrip(b"\x00").decode("ascii"))
-        payload = fh.read()
-    expected = 8 * math.prod(dims)  # complex64 entries
-    if len(payload) != expected:
-        raise ValueError(
-            f"payload has {len(payload)} bytes but header dims {dims} "
-            f"need {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<c8").reshape(dims)
-    return ChannelTensor(band_id=band, data=data.astype(np.complex128))
+    return data

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .core import Band
-from .estimation import ChannelEstimate
+import numpy as np
 
 
 def compute_weight(
@@ -27,14 +26,9 @@ def compute_weight(
     return m * noise_power / denom
 
 
-def combine_mrc(
-    oob: ChannelEstimate, inband: ChannelEstimate, weight: float
-) -> ChannelEstimate:
-    """Per-subcarrier convex combination of the two estimates."""
-    if oob.data.shape != inband.data.shape:
+def combine_mrc(oob: np.ndarray, inband: np.ndarray, weight: float) -> np.ndarray:
+    """Per-subcarrier convex combination of the two (m_rx, m_tx, N) estimates."""
+    if oob.shape != inband.shape:
         raise ValueError("estimate shapes do not match")
-    if oob.band_id != Band.MMWAVE or inband.band_id != Band.MMWAVE:
-        raise ValueError("combining applies to the mmWave band")
-    data = weight * oob.data + (1.0 - weight) * inband.data
-    return ChannelEstimate(band_id=Band.MMWAVE, data=data)
+    return weight * oob + (1.0 - weight) * inband
 

@@ -1,10 +1,12 @@
-"""Configuration model, constants, tensor containers and deterministic seeding."""
+"""Configuration model, constants and deterministic seeding."""
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import struct
+import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -13,6 +15,9 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
 KAPPA_MAX = 1.0e6  # clamp for linear K-factor estimates
+
+# dB values at or above this overflow when converted to linear units
+_DB_OVERFLOW = 10.0 * math.log10(sys.float_info.max)
 
 
 class Band(str, Enum):
@@ -117,8 +122,15 @@ def comb_tiling_errors(band: BandConfig, k_p: int) -> list[str]:
     return out
 
 
+def _non_finite(obj) -> list[str]:
+    """Names of a config's float fields that hold NaN or an infinity."""
+    values = vars(obj).items()
+    return [k for k, v in values if isinstance(v, float) and not math.isfinite(v)]
+
+
 def _validate_band(band: BandConfig, k_p: int, out: list[str]) -> None:
     b = band.band_id.value
+    out.extend(f"[{b}] {name} must be finite" for name in _non_finite(band))
     if band.carrier_freq_hz <= 0:
         out.append(f"[{b}] carrier_freq_hz must be > 0")
     if band.bandwidth_hz <= 0:
@@ -129,6 +141,8 @@ def _validate_band(band: BandConfig, k_p: int, out: list[str]) -> None:
         out.append(f"[{b}] tx_power_watt must be > 0")
     if band.rms_delay_spread_s < 0:
         out.append(f"[{b}] rms_delay_spread_s must be >= 0")
+    if band.element_spacing_wavelengths <= 0:
+        out.append(f"[{b}] element_spacing_wavelengths must be > 0")
     if band.m_tx < 1 or band.m_rx < 1:
         out.append(f"[{b}] antenna counts must be >= 1")
     if band.n_subcarriers < 1:
@@ -150,7 +164,13 @@ def validate_config(cfg: SimConfig) -> list[str]:
     An empty list means the config is valid. Violations are data, not
     exceptions, so callers can report all of them at once.
     """
-    out: list[str] = []
+    out = [f"{name} must be finite" for name in _non_finite(cfg)]
+    for name in ("k_factor_sub6_db", "k_factor_mmw_db", "snr_db_mmw", "snr_db_sub6"):
+        db = getattr(cfg, name)
+        if math.isfinite(db) and db >= _DB_OVERFLOW:
+            out.append(f"{name} = {db:g} dB overflows in linear units")
+        elif name.startswith("snr") and math.isfinite(db) and db_to_linear(db) == 0.0:
+            out.append(f"{name} = {db:g} dB underflows to 0 in linear units")
     k_p = cfg.pilot_symbols_per_direction
     if k_p not in (1, 2, 4):
         out.append(f"pilot_symbols_per_direction must be 1, 2 or 4 (got {k_p})")
@@ -176,22 +196,6 @@ def validate_config(cfg: SimConfig) -> list[str]:
                 f"than the 2*K_P = {2 * k_p} training symbols"
             )
     return out
-
-
-@dataclass(frozen=True)
-class ChannelTensor:
-    """Complex channel H[rx, tx, subcarrier, symbol] for one band."""
-
-    band_id: Band
-    data: np.ndarray  # complex, shape (m_rx, m_tx, n_subcarriers, n_symbols)
-
-    def __post_init__(self):
-        if self.data.ndim != 4:
-            raise ValueError("channel tensor must have 4 axes (rx, tx, n, k)")
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return self.data.shape
 
 
 @dataclass(frozen=True)

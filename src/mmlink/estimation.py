@@ -10,33 +10,23 @@ across bands and cannot transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import KAPPA_MAX, Band, BandConfig
+from .core import KAPPA_MAX, BandConfig
 from .pilots import FORWARD, PilotGrid, TrainingObservations
 from .channel import steering_vector
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Time-invariant per-subcarrier channel estimate (m_rx, m_tx, N)."""
-
-    band_id: Band
-    data: np.ndarray
 
 
 def ls_estimate(
     obs: TrainingObservations,
     grid: PilotGrid,
-    band: BandConfig,
     direction: str = FORWARD,
-) -> ChannelEstimate:
+) -> np.ndarray:
     """Per-pilot LS divide, then frequency interpolation, per antenna pair.
 
+    Returns the time-invariant per-subcarrier estimate (m_rx, m_tx, N).
     The reverse direction estimates the reciprocal (transposed) link and
-    is returned in forward orientation (m_rx, m_tx, N).
+    is returned in forward orientation.
     """
     y, comb = (obs.y_fwd, grid.fwd) if direction == FORWARD else (obs.y_rev, grid.rev)
     antennas = np.arange(len(comb.values))[:, None]
@@ -50,10 +40,10 @@ def ls_estimate(
         est[r, t] = np.interp(band_grid, pilots[t], raw[r, t])
     if direction != FORWARD:
         est = est.transpose(1, 0, 2)
-    return ChannelEstimate(band_id=band.band_id, data=est)
+    return est
 
 
-def estimate_k_factor(est: ChannelEstimate) -> float:
+def estimate_k_factor(est: np.ndarray) -> float:
     """Moment-based Rician K-factor from the envelope statistics over frequency.
 
     Per antenna pair: with G_a the mean and G_v the variance of |H|^2
@@ -61,9 +51,9 @@ def estimate_k_factor(est: ChannelEstimate) -> float:
     The median over pairs is robust to pairs in deep fades. Clamped to
     [0, 1e6]; a flat envelope therefore maps to the upper clamp.
     """
-    if est.data.shape[2] < 2:
+    if est.shape[2] < 2:
         raise ValueError("insufficient samples: need at least 2 subcarriers")
-    power = np.abs(est.data) ** 2
+    power = np.abs(est) ** 2
     g_a = power.mean(axis=2)
     g_v = power.var(axis=2)
     disc = g_a**2 - g_v
@@ -92,7 +82,7 @@ def _refine_peak(values: np.ndarray, index: int, step: float) -> float:
 _ANGLE_GRID_POINTS = 181
 
 
-def estimate_angles(est: ChannelEstimate, band: BandConfig) -> tuple[float, float]:
+def estimate_angles(h: np.ndarray, band: BandConfig) -> tuple[float, float]:
     """LOS departure/arrival angles from the beamforming spectrum peak.
 
     Maximizes S(aod, aoa) = sum_n |a_rx(aoa)^H H[n] a_tx(aod)|^2 over a
@@ -101,7 +91,6 @@ def estimate_angles(est: ChannelEstimate, band: BandConfig) -> tuple[float, floa
     spacing. Global phase rotations of the estimate do not affect the
     result.
     """
-    h = est.data
     m_rx, m_tx, _ = h.shape
     d = band.element_spacing_wavelengths
     angles = np.linspace(-np.pi / 2, np.pi / 2, _ANGLE_GRID_POINTS)
@@ -124,10 +113,10 @@ def estimate_angles(est: ChannelEstimate, band: BandConfig) -> tuple[float, floa
 
 def oob_aided_estimate(
     angles: tuple[float, float],
-    inband: ChannelEstimate,
+    inband: np.ndarray,
     band_mmw: BandConfig,
     rx_rows: np.ndarray | None = None,
-) -> ChannelEstimate:
+) -> np.ndarray:
     """Frequency-flat rank-1 LOS estimate for the mmWave band.
 
     Builds the steering outer product at the estimated angles and fits
@@ -142,12 +131,11 @@ def oob_aided_estimate(
     a_tx = steering_vector(band_mmw.m_tx, band_mmw.element_spacing_wavelengths, aod)
     a_rx = steering_vector(band_mmw.m_rx, band_mmw.element_spacing_wavelengths, aoa)
     atom = np.outer(a_rx, np.conj(a_tx))
-    h = inband.data
     rows = np.arange(band_mmw.m_rx) if rx_rows is None else np.asarray(rx_rows)
     sub = atom[rows, :]
-    gain = np.einsum("rt,rtn->", np.conj(sub), h[rows, :, :]) / (
-        h.shape[2] * np.sum(np.abs(sub) ** 2)
+    n = inband.shape[2]
+    gain = np.einsum("rt,rtn->", np.conj(sub), inband[rows, :, :]) / (
+        n * np.sum(np.abs(sub) ** 2)
     )
-    n = h.shape[2]
     data = np.broadcast_to(gain * atom[:, :, None], atom.shape + (n,))
-    return ChannelEstimate(band_id=band_mmw.band_id, data=np.ascontiguousarray(data))
+    return np.ascontiguousarray(data)

@@ -130,12 +130,12 @@ def _sub6_statistics(
             band, k_p, tree.rng(realization, "sub6", "pilots")
         )
         obs = pilots.transmit_training(
-            h_sub6.data,
+            h_sub6,
             grid,
             longest.noise_power(Band.SUB6),
             tree.rng(realization, "sub6", "train_noise"),
         )
-        est = estimation.ls_estimate(obs, grid, band)
+        est = estimation.ls_estimate(obs, grid)
         out[k_p] = (
             estimation.estimate_k_factor(est),
             estimation.estimate_angles(est, band),
@@ -145,12 +145,10 @@ def _sub6_statistics(
 
 def _ooba_mrc_estimate(
     band: BandConfig,
-    training: tuple[
-        pilots.PilotGrid, pilots.TrainingObservations, estimation.ChannelEstimate
-    ],
+    training: tuple[pilots.PilotGrid, pilots.TrainingObservations, np.ndarray],
     sub6: tuple[float, tuple[float, float]],
     noise_power: float,
-) -> estimation.ChannelEstimate:
+) -> np.ndarray:
     """Combine the in-band estimate with the rank-1 sub-6 GHz-aided one."""
     grid, obs, inband = training
     kappa, angles = sub6
@@ -158,7 +156,7 @@ def _ooba_mrc_estimate(
     # receive antennas of the last reverse-direction symbol, one symbol
     # before the data phase for every pilot pattern. This keeps the aging
     # of the rank-1 estimate independent of K_P.
-    est_rev = estimation.ls_estimate(obs, grid, band, direction=pilots.REVERSE)
+    est_rev = estimation.ls_estimate(obs, grid, direction=pilots.REVERSE)
     fresh_rows = grid.rev.antennas(grid.k_p - 1)
     oob = estimation.oob_aided_estimate(angles, est_rev, band, rx_rows=fresh_rows)
     weight = combining.compute_weight(band.m_tx, band.m_rx, noise_power, kappa)
@@ -198,7 +196,7 @@ def run_realization(cfgs: Sequence[SimConfig], realization: int) -> list[float]:
     longest = max(cfgs, key=lambda c: c.mmw.n_symbols_total)
     h_mmw = ch.synthesize_band(
         longest, Band.MMWAVE, geom, tree.rng(realization, "mmw", "stochastic")
-    ).data
+    )
     band = env.mmw
     noise_mmw = env.noise_power(Band.MMWAVE)
     estimated = [c for c in cfgs if c.estimation_method != Method.PERFECT]
@@ -210,7 +208,7 @@ def run_realization(cfgs: Sequence[SimConfig], realization: int) -> list[float]:
         obs = pilots.transmit_training(
             h_mmw, grid, noise_mmw, tree.rng(realization, "mmw", "train_noise")
         )
-        training[k_p] = (grid, obs, estimation.ls_estimate(obs, grid, band))
+        training[k_p] = (grid, obs, estimation.ls_estimate(obs, grid))
 
     static = env.velocity_mps == 0.0
     # 0-based index of the first data symbol of the shortest training block
@@ -226,7 +224,7 @@ def run_realization(cfgs: Sequence[SimConfig], realization: int) -> list[float]:
         k_p = cfg.pilot_symbols_per_direction
         first_data = 2 * k_p
         if cfg.estimation_method == Method.PERFECT:
-            est = estimation.ChannelEstimate(Band.MMWAVE, h_mmw[:, :, :, first_data])
+            est = h_mmw[:, :, :, first_data]
         elif cfg.estimation_method == Method.CONVENTIONAL:
             est = training[k_p][2]
         else:

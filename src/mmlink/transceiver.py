@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import ChannelEstimate
-
 _SV_FLOOR = 1e-300  # singular values at/below this count as zero streams
 
 
@@ -59,10 +57,8 @@ def waterfill_power(
     return power
 
 
-def design_link(
-    est: ChannelEstimate, p_total: float, noise_power: float
-) -> LinkDesign:
-    """Compact SVD of the estimate per subcarrier plus power loading.
+def design_link(est: np.ndarray, p_total: float, noise_power: float) -> LinkDesign:
+    """Compact SVD of the (m_rx, m_tx, N) estimate per subcarrier plus power loading.
 
     The phase ambiguity of each singular pair is fixed by rotating the
     first nonzero entry of every right singular vector to be real and
@@ -70,9 +66,9 @@ def design_link(
     """
     if p_total <= 0:
         raise ValueError("p_total must be > 0")
-    if not np.all(np.isfinite(est.data)):
+    if not np.all(np.isfinite(est)):
         raise ValueError("channel estimate contains non-finite entries")
-    h = np.ascontiguousarray(est.data.transpose(2, 0, 1))  # (N, m_rx, m_tx)
+    h = np.ascontiguousarray(est.transpose(2, 0, 1))  # (N, m_rx, m_tx)
     u, s, vh = np.linalg.svd(h, full_matrices=False)
     f = vh.conj().transpose(0, 2, 1)  # (N, m_tx, L)
     # sign convention: first entry of each precoder column with magnitude

@@ -17,7 +17,6 @@ from mmlink.core import Band, Method, SeedTree, default_config
 from mmlink import channel as ch
 from mmlink.cli import main
 from mmlink.combining import compute_weight
-from mmlink.estimation import ChannelEstimate
 from mmlink.metrics import sinr_per_stream, spectral_efficiency
 from mmlink.montecarlo import SweepSpec, run_realization, run_sweep
 from mmlink.transceiver import design_link, waterfill_power
@@ -273,8 +272,9 @@ def test_criterion_9_perfect_csi_closed_form():
         h = ch.synthesize_band(
             cfg, Band.MMWAVE, geom, tree.rng(r, "mmw", "stochastic")
         )
-        est = ChannelEstimate(Band.MMWAVE, h.data[:, :, :, 4])
-        design = design_link(est, cfg.mmw.tx_power_watt, cfg.noise_power(Band.MMWAVE))
+        design = design_link(
+            h[:, :, :, 4], cfg.mmw.tx_power_watt, cfg.noise_power(Band.MMWAVE)
+        )
         analytic = closed_form_se(design, cfg.noise_power(Band.MMWAVE))
         assert se_pipeline == pytest.approx(analytic, abs=1e-9), f"realization {r}"
     # rank-1 limit: single active stream at sigma = sqrt(m_rx * m_tx)

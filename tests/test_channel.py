@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import j0
 
-from mmlink.core import Band, ChannelTensor
+from mmlink.core import Band
 from mmlink.channel import (
     SPECULAR_FRACTION,
     JakesProcess,
     PlaneWave,
     compose_channel,
-    dump_channel_tensor,
-    load_channel_tensor,
     los_sequence,
     make_tdl_profile,
     sample_geometry,
@@ -293,8 +291,8 @@ class TestSynthesizeBand:
         cfg = make_config(k_p=2, k_factor_sub6_db=0.0)
         tensor = synthesize_band(cfg, Band.MMWAVE, make_geom(), rng)
         assert tensor.shape == (8, 8, 32, 11)
-        assert np.allclose(tensor.data, tensor.data[..., :1])
-        assert np.all(np.isfinite(tensor.data))
+        assert np.allclose(tensor, tensor[..., :1])
+        assert np.all(np.isfinite(tensor))
 
     def test_cross_band_independence(self):
         # sibling seeds give uncorrelated sub-6 / mmWave stochastic parts
@@ -311,8 +309,8 @@ class TestSynthesizeBand:
             )
             hs = synthesize_band(cfg, Band.SUB6, geom, tree.rng(r, "sub6", "stochastic"))
             hm = synthesize_band(cfg, Band.MMWAVE, geom, tree.rng(r, "mmw", "stochastic"))
-            a = hs.data[:, :, :, 0].ravel()
-            b = hm.data[:, :, :, 0].ravel()
+            a = hs[:, :, :, 0].ravel()
+            b = hm[:, :, :, 0].ravel()
             acc += np.sum(a * np.conj(b))
             power_s += np.sum(np.abs(a) ** 2)
             power_m += np.sum(np.abs(b) ** 2)
@@ -320,48 +318,3 @@ class TestSynthesizeBand:
         corr = abs(acc) / np.sqrt(power_s * power_m)
         assert count >= 10_000
         assert corr < 0.05
-
-
-class TestTensorDump:
-    def test_round_trip(self, tmp_path, rng):
-        data = (
-            rng.standard_normal((2, 3, 4, 5)) + 1j * rng.standard_normal((2, 3, 4, 5))
-        ).astype(np.complex64)
-        tensor = ChannelTensor(band_id=Band.SUB6, data=data.astype(np.complex128))
-        path = tmp_path / "h.bin"
-        dump_channel_tensor(tensor, str(path))
-        loaded = load_channel_tensor(str(path))
-        assert loaded.band_id == Band.SUB6
-        assert loaded.data.shape == (2, 3, 4, 5)
-        assert np.allclose(loaded.data, tensor.data, atol=1e-6)
-
-    def test_golden_bytes(self, tmp_path):
-        # fixed tiny tensor gives a byte-exact file layout
-        data = np.array(
-            [[[[1 + 2j, -1.5 + 0.25j]]]], dtype=np.complex128
-        )  # (1,1,1,2)
-        tensor = ChannelTensor(band_id=Band.MMWAVE, data=data)
-        path = tmp_path / "h.bin"
-        dump_channel_tensor(tensor, str(path))
-        raw = path.read_bytes()
-        assert raw[:8] == b"MMLKCHT1"
-        dims = np.frombuffer(raw[8:24], dtype="<u4")
-        assert list(dims) == [1, 1, 1, 2]
-        assert raw[24:32] == b"mmw\x00\x00\x00\x00\x00"
-        payload = np.frombuffer(raw[32:], dtype="<c8")
-        assert np.allclose(payload, [1 + 2j, -1.5 + 0.25j])
-        assert len(raw) == 32 + 2 * 8
-
-    def test_reject_garbage(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a tensor dump at all")
-        with pytest.raises(ValueError):
-            load_channel_tensor(str(path))
-
-    def test_reject_truncated_payload(self, tmp_path):
-        tensor = ChannelTensor(band_id=Band.SUB6, data=np.ones((2, 3, 4, 5), complex))
-        path = tmp_path / "h.bin"
-        dump_channel_tensor(tensor, str(path))
-        path.write_bytes(path.read_bytes()[:-8])  # drop the last entry
-        with pytest.raises(ValueError, match="952 bytes.*need 960"):
-            load_channel_tensor(str(path))

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, CSV output, pilots dump, plotting."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -62,6 +63,36 @@ class TestRun:
         captured = capsys.readouterr()
         assert "repeats the value" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ("velocity_kmh=nan", "velocity_mps must be finite"),
+            ("snr_db=inf", "snr_db_mmw must be finite"),
+            ("k_factor_db=4000", "k_factor_sub6_db = 4000 dB overflows"),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, pair, message, mini_config_path, capsys):
+        code = main(["run", "--config", mini_config_path, "--set", pair])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"invalid configuration: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_zero_element_spacing_in_file_exits_2(self, tmp_path, capsys):
+        cfg = make_config(n_realizations=2)
+        cfg = replace(cfg, mmw=replace(cfg.mmw, element_spacing_wavelengths=0.0))
+        path = tmp_path / "spacing.ini"
+        save_config(cfg, str(path))
+        assert "element_spacing_wavelengths = 0.0" in path.read_text()
+        assert main(["run", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (
+            "invalid configuration: [mmw] element_spacing_wavelengths must be > 0"
+            in captured.err
+        )
+        assert "Traceback" not in captured.err
 
     def test_missing_config_exits_1(self, capsys):
         code = main(["run", "--config", "/nonexistent/path.ini"])

@@ -1,16 +1,21 @@
 """Config model, validation, file round-trip and seed derivation."""
 
 import concurrent.futures
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mmlink.core import (
+    _DB_OVERFLOW,
     Band,
+    BandConfig,
     ConfigError,
     Method,
     SeedTree,
+    SimConfig,
+    db_to_linear,
     default_config,
     load_config,
     save_config,
@@ -19,6 +24,20 @@ from mmlink.core import (
 )
 
 from conftest import make_config
+
+# (section, field) for every float field: None for [sim], else the band
+FLOAT_FIELDS = [(None, f.name) for f in fields(SimConfig) if f.type == "float"] + [
+    (band, f.name)
+    for band in ("sub6", "mmw")
+    for f in fields(BandConfig)
+    if f.type == "float"
+]
+
+
+def with_field(cfg, section, name, value):
+    if section is None:
+        return replace(cfg, **{name: value})
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
 
 
 class TestValidation:
@@ -55,6 +74,48 @@ class TestValidation:
         cfg = make_config(k_p=4)
         cfg = replace(cfg, mmw=replace(cfg.mmw, n_symbols_total=8))
         assert any("no data symbols" in m for m in validate_config(cfg))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("section, name", FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, section, name, value):
+        messages = validate_config(with_field(make_config(), section, name, value))
+        prefix = "" if section is None else f"[{section}] "
+        assert f"{prefix}{name} must be finite" in messages
+
+    @pytest.mark.parametrize(
+        "field, named",
+        [
+            ("k_factor_sub6_db", "k_factor_sub6_db"),
+            ("k_factor_scale_db", "k_factor_mmw_db"),
+            ("snr_db_mmw", "snr_db_mmw"),
+            ("snr_db_sub6", "snr_db_sub6"),
+        ],
+    )
+    def test_db_overflow_rejected(self, field, named):
+        messages = validate_config(make_config(**{field: 4000.0}))
+        assert any(m.startswith(f"{named} = 4000 dB overflows") for m in messages)
+
+    def test_db_overflow_bound_is_exact(self):
+        below = math.nextafter(_DB_OVERFLOW, 0.0)
+        assert math.isfinite(db_to_linear(below))
+        with pytest.raises(OverflowError):
+            db_to_linear(_DB_OVERFLOW)
+        assert validate_config(make_config(k_factor_sub6_db=below)) == []
+        assert len(validate_config(make_config(k_factor_sub6_db=_DB_OVERFLOW))) == 2
+
+    def test_snr_underflow_rejected(self):
+        messages = validate_config(make_config(snr_db_mmw=-4000.0))
+        assert messages == ["snr_db_mmw = -4000 dB underflows to 0 in linear units"]
+        # a vanishing K-factor is a valid pure-scatter channel
+        assert validate_config(make_config(k_factor_sub6_db=-4000.0)) == []
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.5])
+    @pytest.mark.parametrize("section", ["sub6", "mmw"])
+    def test_element_spacing_must_be_positive(self, section, spacing):
+        cfg = with_field(make_config(), section, "element_spacing_wavelengths", spacing)
+        assert validate_config(cfg) == [
+            f"[{section}] element_spacing_wavelengths must be > 0"
+        ]
 
     def test_wavelength_derived(self):
         cfg = default_config()

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from mmlink.core import Band
-from mmlink.estimation import ChannelEstimate
 from mmlink.metrics import (
     evaluate_link,
     perfect_gain_diagonals,
@@ -16,21 +14,17 @@ from mmlink.transceiver import design_link
 from oracles import closed_form_se, error_covariance, gain_matrix
 
 
-def make_estimate(h):
-    return ChannelEstimate(Band.MMWAVE, h)
-
-
 class TestGainMatrix:
     def test_perfect_design_is_diagonal(self, rng):
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        d = design_link(make_estimate(h[:, :, None]), 1.0, 0.3)
+        d = design_link(h[:, :, None], 1.0, 0.3)
         g = gain_matrix(h, d.combiner[0], d.precoder[0], d.power[0])
         expected = np.diag(d.singular_values[0] * np.sqrt(d.power[0]))
         assert np.allclose(g, expected, atol=1e-10)
 
     def test_zero_power_zero_gain(self, rng):
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        d = design_link(make_estimate(h[:, :, None]), 1.0, 0.3)
+        d = design_link(h[:, :, None], 1.0, 0.3)
         g = gain_matrix(h, d.combiner[0], d.precoder[0], np.zeros(4))
         assert np.allclose(g, 0.0)
 
@@ -114,7 +108,7 @@ class TestSpectralEfficiency:
     def test_upper_bound(self, rng):
         # loose cap: L * log2(1 + P * m_rx * m_tx / sigma2)
         h = rng.standard_normal((4, 4, 6)) + 1j * rng.standard_normal((4, 4, 6))
-        d = design_link(make_estimate(h), 1.0, 0.1)
+        d = design_link(h, 1.0, 0.1)
         res = evaluate_link(h[:, :, :, None], d, 0.1)
         cap = 4 * np.log2(1 + 1.0 * 16 / 0.1)
         assert 0.0 <= res.se_bits_per_s_per_hz <= cap
@@ -124,7 +118,7 @@ class TestEvaluateLink:
     def test_perfect_static_matches_closed_form(self, rng):
         h = rng.standard_normal((8, 8, 12)) + 1j * rng.standard_normal((8, 8, 12))
         noise = 0.4
-        d = design_link(make_estimate(h), 1.0, noise)
+        d = design_link(h, 1.0, noise)
         res = evaluate_link(h[:, :, :, None], d, noise)
         assert res.se_bits_per_s_per_hz == pytest.approx(
             closed_form_se(d, noise), abs=1e-9
@@ -133,7 +127,7 @@ class TestEvaluateLink:
     def test_perfect_gain_diagonals_match_design(self, rng):
         h = rng.standard_normal((4, 4, 5)) + 1j * rng.standard_normal((4, 4, 5))
         noise = 0.7
-        d = design_link(make_estimate(h), 1.0, noise)
+        d = design_link(h, 1.0, noise)
         diag = perfect_gain_diagonals(h[:, :, :, None], 1.0, noise)
         assert np.allclose(
             diag[:, 0, :], d.singular_values * np.sqrt(d.power), atol=1e-9
@@ -141,7 +135,7 @@ class TestEvaluateLink:
 
     def test_se_monotone_in_noise_for_fixed_design(self, rng):
         h = rng.standard_normal((4, 4, 6)) + 1j * rng.standard_normal((4, 4, 6))
-        d = design_link(make_estimate(h), 1.0, 0.5)
+        d = design_link(h, 1.0, 0.5)
         ses = [
             evaluate_link(h[:, :, :, None], d, s).se_bits_per_s_per_hz
             for s in (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -151,11 +145,11 @@ class TestEvaluateLink:
     def test_mismatched_estimate_lowers_se(self, rng):
         h = rng.standard_normal((8, 8, 6)) + 1j * rng.standard_normal((8, 8, 6))
         noise = 0.5
-        d_true = design_link(make_estimate(h), 1.0, noise)
+        d_true = design_link(h, 1.0, noise)
         noisy = h + 0.7 * (
             rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
         )
-        d_est = design_link(make_estimate(noisy), 1.0, noise)
+        d_est = design_link(noisy, 1.0, noise)
         se_true = evaluate_link(h[:, :, :, None], d_true, noise).se_bits_per_s_per_hz
         se_est = evaluate_link(h[:, :, :, None], d_est, noise).se_bits_per_s_per_hz
         assert se_est < se_true
@@ -163,7 +157,7 @@ class TestEvaluateLink:
     def test_dead_subcarrier_contributes_zero(self, rng):
         h = rng.standard_normal((4, 4, 3)) + 1j * rng.standard_normal((4, 4, 3))
         h[:, :, 1] = 0.0
-        d = design_link(make_estimate(h), 1.0, 1.0)
+        d = design_link(h, 1.0, 1.0)
         res = evaluate_link(h[:, :, :, None], d, 1.0)
         assert np.allclose(res.sinr[1], 0.0)
         assert res.se_bits_per_s_per_hz >= 0.0
@@ -178,14 +172,14 @@ class TestEvaluateLink:
             (m, m, n_sc, k_d)
         )
         h = h0[:, :, :, None] + 0.3 * np.cumsum(drift, axis=3)
-        d = design_link(make_estimate(h0), 1.0, noise)
+        d = design_link(h0, 1.0, noise)
         res = evaluate_link(h, d, noise)
         assert res.sinr.shape == (n_sc, k_d, m)
         for n in range(n_sc):
             for k in range(k_d):
                 cell = h[:, :, n, k]
                 g = gain_matrix(cell, d.combiner[n], d.precoder[n], d.power[n])
-                fresh = design_link(make_estimate(cell[:, :, None]), 1.0, noise)
+                fresh = design_link(cell[:, :, None], 1.0, noise)
                 g_perfect = gain_matrix(
                     cell, fresh.combiner[0], fresh.precoder[0], fresh.power[0]
                 )

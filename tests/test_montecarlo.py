@@ -67,13 +67,13 @@ class TestRunRealization:
         )
         noise = cfg4.noise_power(Band.MMWAVE)
         obs = pilots.transmit_training(
-            h4.data, grid, noise, tree4.rng(r, "mmw", "train_noise")
+            h4, grid, noise, tree4.rng(r, "mmw", "train_noise")
         )
-        est4 = estimation.ls_estimate(obs, grid, cfg4.mmw)
+        est4 = estimation.ls_estimate(obs, grid)
         design = transceiver.design_link(est4, cfg4.mmw.tx_power_watt, noise)
         # static channel: any data symbol slice gives the same SE
         se_injected = metrics.evaluate_link(
-            h4.data[:, :, :, 8:9], design, noise
+            h4[:, :, :, 8:9], design, noise
         ).se_bits_per_s_per_hz
         se_direct = run_realization([cfg4], r)[0]
         assert se_injected == pytest.approx(se_direct, abs=1e-12)

@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from mmlink.core import Band
-from mmlink.estimation import ChannelEstimate
 from mmlink.metrics import evaluate_link
 from mmlink.transceiver import design_link, waterfill_power
 
 from oracles import gain_matrix, waterfill_bisection
-
-
-def make_estimate(h):
-    return ChannelEstimate(band_id=Band.MMWAVE, data=h)
 
 
 class TestWaterfill:
@@ -63,8 +57,7 @@ class TestWaterfill:
 
 class TestDesignLink:
     def make_random_estimate(self, rng, n=12, m=8):
-        h = rng.standard_normal((m, m, n)) + 1j * rng.standard_normal((m, m, n))
-        return make_estimate(h)
+        return rng.standard_normal((m, m, n)) + 1j * rng.standard_normal((m, m, n))
 
     def test_semi_unitary_and_power(self, rng):
         est = self.make_random_estimate(rng)
@@ -83,7 +76,7 @@ class TestDesignLink:
         d = design_link(est, 1.0, 1.0)
         for i in range(4):
             h = d.combiner[i] @ np.diag(d.singular_values[i]) @ d.precoder[i].conj().T
-            assert np.allclose(h, est.data[:, :, i], atol=1e-10)
+            assert np.allclose(h, est[:, :, i], atol=1e-10)
 
     def test_sign_convention_deterministic(self, rng):
         est = self.make_random_estimate(rng)
@@ -96,7 +89,7 @@ class TestDesignLink:
 
     def test_scale_consistency(self, rng):
         est = self.make_random_estimate(rng, n=6)
-        scaled = make_estimate(est.data * 3.0)
+        scaled = est * 3.0
         d1 = design_link(est, 1.0, 0.5)
         d2 = design_link(scaled, 1.0, 0.5)
         assert np.allclose(d2.singular_values, 3.0 * d1.singular_values)
@@ -106,7 +99,7 @@ class TestDesignLink:
     def test_dead_subcarrier_flagged(self, rng):
         h = rng.standard_normal((4, 4, 3)) + 1j * rng.standard_normal((4, 4, 3))
         h[:, :, 1] = 0.0
-        d = design_link(make_estimate(h), 1.0, 1.0)
+        d = design_link(h, 1.0, 1.0)
         assert list(d.dead) == [False, True, False]
         assert np.allclose(d.power[1], 0.0)
 
@@ -114,7 +107,7 @@ class TestDesignLink:
         a = np.exp(-1j * np.pi * 0.3 * np.arange(8))
         b = np.exp(-1j * np.pi * 0.1 * np.arange(8))
         h = np.outer(a, b.conj())[:, :, None] * np.ones(5)[None, None, :]
-        d = design_link(make_estimate(h), 1.0, 0.1)
+        d = design_link(h, 1.0, 0.1)
         assert np.allclose(d.power[:, 0], 1.0)
         assert np.allclose(d.power[:, 1:], 0.0)
 
@@ -122,7 +115,7 @@ class TestDesignLink:
         h = np.ones((2, 2, 2), dtype=complex)
         h[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
-            design_link(make_estimate(h), 1.0, 1.0)
+            design_link(h, 1.0, 1.0)
 
 
 class TestTransmitData:
@@ -131,7 +124,7 @@ class TestTransmitData:
     def test_perfect_csi_diagonalizes(self, rng):
         m, n, noise = 4, 6, 0.2
         h = rng.standard_normal((m, m, n)) + 1j * rng.standard_normal((m, m, n))
-        d = design_link(make_estimate(h), 1.0, noise)
+        d = design_link(h, 1.0, noise)
         res = evaluate_link(np.stack([h, h], axis=3), d, noise)
         # no leakage and no error variance: SINR is sigma^2 p / sigma_w^2
         expected = d.singular_values**2 * d.power / noise
@@ -141,7 +134,7 @@ class TestTransmitData:
         m, n, noise = 4, 6, 0.2
         h0 = rng.standard_normal((m, m, n)) + 1j * rng.standard_normal((m, m, n))
         h1 = rng.standard_normal((m, m, n)) + 1j * rng.standard_normal((m, m, n))
-        d = design_link(make_estimate(h0), 1.0, noise)  # stale design
+        d = design_link(h0, 1.0, noise)  # stale design
         g = gain_matrix(h1[:, :, 0], d.combiner[0], d.precoder[0], d.power[0])
         assert np.sum(np.abs(g - np.diag(np.diag(g))) ** 2) > 0
         res = evaluate_link(h1[:, :, :, None], d, noise)
