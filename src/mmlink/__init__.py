@@ -11,7 +11,6 @@ from .core import (
     load_config,
     save_config,
     validate_config,
-    with_pilot_symbols,
 )
 from .montecarlo import (
     SweepRecord,
@@ -41,6 +40,5 @@ __all__ = [
     "run_sweep",
     "save_config",
     "validate_config",
-    "with_pilot_symbols",
     "__version__",
 ]

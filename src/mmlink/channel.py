@@ -287,7 +287,7 @@ def synthesize_band(
     the symbol axis.
     """
     band = cfg.band(band_id)
-    n_symbols = band.n_symbols_total
+    n_symbols = cfg.n_symbols(band_id)
     static = cfg.velocity_mps == 0.0
     symbols = np.array([1]) if static else np.arange(1, n_symbols + 1)
     profile = make_tdl_profile(band.rms_delay_spread_s)

@@ -13,7 +13,6 @@ from dataclasses import replace
 import numpy as np
 
 from .core import (
-    Band,
     BandConfig,
     ConfigError,
     Method,
@@ -88,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("MMLINK_WORKERS", "1"),
         help="parallel worker processes (default $MMLINK_WORKERS or 1)",
     )
-    run.add_argument("--seed", type=int, help="override the master seed")
     run.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
     plot = sub.add_parser("plot", help="render a results CSV as an SVG chart")
@@ -140,13 +138,11 @@ def _parse_overrides(pairs: list[str]) -> tuple[dict, dict]:
 
 
 def _apply_overrides(
-    specs: list[SweepSpec], axes: dict, scalars: dict, seed: int | None
+    specs: list[SweepSpec], axes: dict, scalars: dict
 ) -> list[SweepSpec]:
     out = []
     for spec in specs:
         base = replace(spec.base, **scalars) if scalars else spec.base
-        if seed is not None:
-            base = replace(base, master_seed=seed)
         new_axes = [(n, v) for n, v in spec.axes if n not in axes]
         new_axes += [(n, v) for n, v in axes.items()]
         out.append(SweepSpec(base=base, axes=tuple(new_axes)))
@@ -162,7 +158,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             specs = [SweepSpec(base=default_config())]
         axes, scalars = _parse_overrides(args.set)
-        specs = _apply_overrides(specs, axes, scalars, args.seed)
+        specs = _apply_overrides(specs, axes, scalars)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -219,12 +215,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 def _cmd_pilots(args: argparse.Namespace) -> int:
     band = BandConfig(
-        band_id=Band.MMWAVE,
         carrier_freq_hz=1e9,
-        bandwidth_hz=float(args.n),
         subcarrier_spacing_hz=1.0,
         n_subcarriers=args.n,
-        n_symbols_total=2 * args.k_p + 1,
         m_tx=args.m_tx,
         m_rx=args.m_tx,
         tx_power_watt=1.0,

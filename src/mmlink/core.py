@@ -7,7 +7,7 @@ import hashlib
 import math
 import struct
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -47,12 +47,9 @@ class BandConfig:
     derived from the carrier frequency, never stored.
     """
 
-    band_id: Band
     carrier_freq_hz: float
-    bandwidth_hz: float
     subcarrier_spacing_hz: float
     n_subcarriers: int
-    n_symbols_total: int
     m_tx: int
     m_rx: int
     tx_power_watt: float
@@ -75,6 +72,7 @@ class SimConfig:
     snr_db_sub6: float
     velocity_mps: float
     pilot_symbols_per_direction: int
+    n_data_symbols: int
     n_realizations: int
     master_seed: int
     estimation_method: Method
@@ -87,6 +85,12 @@ class SimConfig:
 
     def band(self, band_id: Band) -> BandConfig:
         return self.sub6 if band_id == Band.SUB6 else self.mmw
+
+    def n_symbols(self, band_id: Band) -> int:
+        """Frame length of a band: 2*K_P training symbols (both link
+        directions), followed on mmWave by the K_D data symbols."""
+        n_training = 2 * self.pilot_symbols_per_direction
+        return n_training if band_id == Band.SUB6 else n_training + self.n_data_symbols
 
     def k_factor_linear(self, band_id: Band) -> float:
         db = self.k_factor_sub6_db if band_id == Band.SUB6 else self.k_factor_mmw_db
@@ -128,13 +132,10 @@ def _non_finite(obj) -> list[str]:
     return [k for k, v in values if isinstance(v, float) and not math.isfinite(v)]
 
 
-def _validate_band(band: BandConfig, k_p: int, out: list[str]) -> None:
-    b = band.band_id.value
+def _validate_band(band: BandConfig, b: str, k_p: int, out: list[str]) -> None:
     out.extend(f"[{b}] {name} must be finite" for name in _non_finite(band))
     if band.carrier_freq_hz <= 0:
         out.append(f"[{b}] carrier_freq_hz must be > 0")
-    if band.bandwidth_hz <= 0:
-        out.append(f"[{b}] bandwidth_hz must be > 0")
     if band.subcarrier_spacing_hz <= 0:
         out.append(f"[{b}] subcarrier_spacing_hz must be > 0")
     if band.tx_power_watt <= 0:
@@ -147,14 +148,6 @@ def _validate_band(band: BandConfig, k_p: int, out: list[str]) -> None:
         out.append(f"[{b}] antenna counts must be >= 1")
     if band.n_subcarriers < 1:
         out.append(f"[{b}] n_subcarriers must be >= 1")
-    if band.subcarrier_spacing_hz > 0 and (
-        band.n_subcarriers * band.subcarrier_spacing_hz != band.bandwidth_hz
-    ):
-        out.append(
-            f"[{b}] n_subcarriers * subcarrier_spacing_hz must equal bandwidth_hz "
-            f"exactly ({band.n_subcarriers} * {band.subcarrier_spacing_hz:g} != "
-            f"{band.bandwidth_hz:g})"
-        )
     out.extend(f"[{b}] {v}" for v in comb_tiling_errors(band, k_p))
 
 
@@ -174,27 +167,16 @@ def validate_config(cfg: SimConfig) -> list[str]:
     k_p = cfg.pilot_symbols_per_direction
     if k_p not in (1, 2, 4):
         out.append(f"pilot_symbols_per_direction must be 1, 2 or 4 (got {k_p})")
+    if cfg.n_data_symbols < 1:
+        out.append("n_data_symbols must be >= 1")
     if cfg.velocity_mps < 0:
         out.append("velocity_mps must be >= 0")
     if cfg.n_realizations < 1:
         out.append("n_realizations must be >= 1")
     if not 0 <= cfg.master_seed < 2**64:
         out.append("master_seed must fit in 64 bits")
-    _validate_band(cfg.sub6, k_p, out)
-    _validate_band(cfg.mmw, k_p, out)
-    if cfg.sub6.band_id != Band.SUB6 or cfg.mmw.band_id != Band.MMWAVE:
-        out.append("band sections are swapped or mislabeled")
-    if k_p >= 1:
-        if cfg.mmw.n_symbols_total <= 2 * k_p:
-            out.append(
-                f"[mmw] n_symbols_total = {cfg.mmw.n_symbols_total} leaves no data "
-                f"symbols after 2*K_P = {2 * k_p} training symbols"
-            )
-        if cfg.sub6.n_symbols_total < 2 * k_p:
-            out.append(
-                f"[sub6] n_symbols_total = {cfg.sub6.n_symbols_total} is shorter "
-                f"than the 2*K_P = {2 * k_p} training symbols"
-            )
+    _validate_band(cfg.sub6, "sub6", k_p, out)
+    _validate_band(cfg.mmw, "mmw", k_p, out)
     return out
 
 
@@ -225,79 +207,65 @@ class SeedTree:
 # --- config file format -----------------------------------------------------
 #
 # INI-style plain text: one [sim] section with the flat SimConfig fields and
-# one section per band ([sub6], [mmw]) with the BandConfig fields. band_id is
-# implied by the section name. Unknown keys are a validation error.
+# one section per band with the BandConfig fields, named after the SimConfig
+# slot that holds the band ([sub6], [mmw]). Unknown keys are a validation
+# error; a key whose field has a default may be left out.
 
-_BAND_FIELDS = {f.name: f for f in fields(BandConfig) if f.name != "band_id"}
-_SIM_FIELDS = {
-    f.name: f for f in fields(SimConfig) if f.name not in ("sub6", "mmw")
-}
-_INT_BAND_KEYS = {"n_subcarriers", "n_symbols_total", "m_tx", "m_rx"}
-_INT_SIM_KEYS = {"pilot_symbols_per_direction", "n_realizations", "master_seed"}
+_BAND_FIELDS = {f.name: f for f in fields(BandConfig)}
+_SIM_FIELDS = {f.name: f for f in fields(SimConfig) if f.type != "BandConfig"}
+_SECTIONS = ("sim", "sub6", "mmw")
 
 
-def _parse_band(section: configparser.SectionProxy, band_id: Band) -> BandConfig:
-    kwargs = {"band_id": band_id}
+def _parse_method(raw: str) -> Method:
+    try:
+        return Method(raw)
+    except ValueError:
+        raise ConfigError(
+            f"estimation_method must be one of {[m.value for m in Method]} (got '{raw}')"
+        ) from None
+
+
+_PARSERS = {"int": int, "float": float, "Method": _parse_method}
+
+
+def _parse_section(section: configparser.SectionProxy, known: dict) -> dict:
+    kwargs = {}
     for key, raw in section.items():
-        if key not in _BAND_FIELDS:
-            raise ConfigError(f"unknown key '{key}' in section [{band_id.value}]")
-        kwargs[key] = int(raw) if key in _INT_BAND_KEYS else float(raw)
-    missing = [
-        k for k in _BAND_FIELDS if k not in kwargs and k != "element_spacing_wavelengths"
-    ]
+        if key not in known:
+            raise ConfigError(f"unknown key '{key}' in section [{section.name}]")
+        kwargs[key] = _PARSERS[known[key].type](raw)
+    missing = [k for k, f in known.items() if k not in kwargs and f.default is MISSING]
     if missing:
         raise ConfigError(
-            f"section [{band_id.value}] is missing keys: {', '.join(sorted(missing))}"
+            f"section [{section.name}] is missing keys: {', '.join(sorted(missing))}"
         )
-    return BandConfig(**kwargs)
+    return kwargs
 
 
 def load_config(path: str) -> SimConfig:
     """Parse the plain-text config file format into a SimConfig.
 
-    Raises ConfigError on unknown keys, missing keys or unparseable
-    values. Semantic invariants are checked separately by
-    validate_config.
+    Raises ConfigError on malformed INI syntax, unknown sections or keys,
+    missing keys or unparseable values. Semantic invariants are checked
+    separately by validate_config.
     """
     parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
-    for section in parser.sections():
-        if section not in ("sim", "sub6", "mmw"):
-            raise ConfigError(f"unknown section [{section}]")
-    for name in ("sim", "sub6", "mmw"):
-        if name not in parser:
-            raise ConfigError(f"missing section [{name}]")
     try:
-        sub6 = _parse_band(parser["sub6"], Band.SUB6)
-        mmw = _parse_band(parser["mmw"], Band.MMWAVE)
-        kwargs: dict = {"sub6": sub6, "mmw": mmw}
-        for key, raw in parser["sim"].items():
-            if key not in _SIM_FIELDS:
-                raise ConfigError(f"unknown key '{key}' in section [sim]")
-            if key == "estimation_method":
-                try:
-                    kwargs[key] = Method(raw)
-                except ValueError:
-                    raise ConfigError(
-                        f"estimation_method must be one of "
-                        f"{[m.value for m in Method]} (got '{raw}')"
-                    ) from None
-            elif key in _INT_SIM_KEYS:
-                kwargs[key] = int(raw)
-            else:
-                kwargs[key] = float(raw)
-        missing = [
-            k for k in _SIM_FIELDS if k not in kwargs and k != "k_factor_scale_db"
-        ]
-        if missing:
-            raise ConfigError(
-                f"section [sim] is missing keys: {', '.join(sorted(missing))}"
-            )
-        return SimConfig(**kwargs)
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        for section in parser.sections():
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown section [{section}]")
+        for name in _SECTIONS:
+            if name not in parser:
+                raise ConfigError(f"missing section [{name}]")
+        sub6 = BandConfig(**_parse_section(parser["sub6"], _BAND_FIELDS))
+        mmw = BandConfig(**_parse_section(parser["mmw"], _BAND_FIELDS))
+        sim = _parse_section(parser["sim"], _SIM_FIELDS)
+        return SimConfig(sub6=sub6, mmw=mmw, **sim)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -314,21 +282,17 @@ def save_config(cfg: SimConfig, path: str) -> None:
     lines = ["[sim]"]
     for name in _SIM_FIELDS:
         lines.append(f"{name} = {_fmt(getattr(cfg, name))}")
-    for band in (cfg.sub6, cfg.mmw):
+    for slot in ("sub6", "mmw"):
+        band = getattr(cfg, slot)
         lines.append("")
-        lines.append(f"[{band.band_id.value}]")
+        lines.append(f"[{slot}]")
         for name in _BAND_FIELDS:
             lines.append(f"{name} = {_fmt(getattr(band, name))}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def default_config(
-    pilot_symbols_per_direction: int = 2,
-    n_data_symbols: int = 7,
-    scaled_mmw: bool = False,
-    **overrides,
-) -> SimConfig:
+def default_config(scaled_mmw: bool = False, **overrides) -> SimConfig:
     """Baseline dual-band 8x8 configuration.
 
     Sub-6 GHz: 2.55 GHz carrier, 20.16 MHz over 336 subcarriers at 60 kHz.
@@ -336,31 +300,23 @@ def default_config(
     (or a 336-subcarrier / 40.32 MHz variant when scaled_mmw is set, which
     keeps the per-subcarrier statistics while cutting runtime).
 
-    The frame holds 2*K_P training symbols (both link directions) followed
-    by n_data_symbols data symbols; the sub-6 band is only used during
-    training.
+    The frame holds 2*K_P = 4 training symbols (both link directions)
+    followed by K_D = 7 data symbols; the sub-6 band is only used during
+    training. overrides replace any SimConfig field.
     """
-    k_p = pilot_symbols_per_direction
     sub6 = BandConfig(
-        band_id=Band.SUB6,
         carrier_freq_hz=2.55e9,
-        bandwidth_hz=20.16e6,
         subcarrier_spacing_hz=60e3,
         n_subcarriers=336,
-        n_symbols_total=2 * k_p,
         m_tx=8,
         m_rx=8,
         tx_power_watt=1.0,
         rms_delay_spread_s=1148e-9,
     )
-    n_sc_mmw = 336 if scaled_mmw else 3360
     mmw = BandConfig(
-        band_id=Band.MMWAVE,
         carrier_freq_hz=25.5e9,
-        bandwidth_hz=n_sc_mmw * 120e3,
         subcarrier_spacing_hz=120e3,
-        n_subcarriers=n_sc_mmw,
-        n_symbols_total=2 * k_p + n_data_symbols,
+        n_subcarriers=336 if scaled_mmw else 3360,
         m_tx=8,
         m_rx=8,
         tx_power_watt=1.0,
@@ -373,7 +329,8 @@ def default_config(
         snr_db_mmw=0.0,
         snr_db_sub6=20.0,
         velocity_mps=0.0,
-        pilot_symbols_per_direction=k_p,
+        pilot_symbols_per_direction=2,
+        n_data_symbols=7,
         n_realizations=1000,
         master_seed=1,
         estimation_method=Method.CONVENTIONAL,
@@ -381,15 +338,3 @@ def default_config(
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
-
-
-def with_pilot_symbols(cfg: SimConfig, k_p: int) -> SimConfig:
-    """Change K_P while preserving the number of data symbols."""
-    old_kp = cfg.pilot_symbols_per_direction
-    n_data = cfg.mmw.n_symbols_total - 2 * old_kp
-    return replace(
-        cfg,
-        pilot_symbols_per_direction=k_p,
-        sub6=replace(cfg.sub6, n_symbols_total=2 * k_p),
-        mmw=replace(cfg.mmw, n_symbols_total=2 * k_p + n_data),
-    )

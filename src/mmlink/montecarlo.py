@@ -11,7 +11,7 @@ import numpy as np
 
 from . import channel as ch
 from . import combining, estimation, metrics, pilots, transceiver
-from .core import Band, BandConfig, Method, SeedTree, SimConfig, with_pilot_symbols
+from .core import Band, BandConfig, Method, SeedTree, SimConfig
 
 SWEEP_PARAMS = ("k_factor_db", "velocity_kmh", "snr_db", "pilot_k_p", "method")
 # The sweep parameters that make up the propagation environment of a point.
@@ -83,7 +83,7 @@ def apply_point(base: SimConfig, point: dict) -> SimConfig:
                 cfg, snr_db_mmw=float(value), snr_db_sub6=float(value) + offset
             )
         elif name == "pilot_k_p":
-            cfg = with_pilot_symbols(cfg, int(value))
+            cfg = replace(cfg, pilot_symbols_per_direction=int(value))
         elif name == "method":
             cfg = replace(cfg, estimation_method=Method(value))
         else:
@@ -104,7 +104,7 @@ def point_columns(cfg: SimConfig) -> dict:
 
 def _environment(cfg: SimConfig) -> SimConfig:
     """The config with its method and pilot pattern factored out."""
-    return with_pilot_symbols(replace(cfg, estimation_method=Method.PERFECT), 1)
+    return replace(cfg, estimation_method=Method.PERFECT, pilot_symbols_per_direction=1)
 
 
 def _sub6_statistics(
@@ -119,7 +119,7 @@ def _sub6_statistics(
     oob = [c for c in cfgs if c.estimation_method == Method.OOBA_MRC]
     if not oob:
         return {}
-    longest = max(oob, key=lambda c: c.sub6.n_symbols_total)
+    longest = max(oob, key=lambda c: c.pilot_symbols_per_direction)
     band = longest.sub6
     h_sub6 = ch.synthesize_band(
         longest, Band.SUB6, geom, tree.rng(realization, "sub6", "stochastic")
@@ -193,7 +193,7 @@ def run_realization(cfgs: Sequence[SimConfig], realization: int) -> list[float]:
     )
     sub6 = _sub6_statistics(cfgs, geom, tree, realization)
 
-    longest = max(cfgs, key=lambda c: c.mmw.n_symbols_total)
+    longest = max(cfgs, key=lambda c: c.pilot_symbols_per_direction)
     h_mmw = ch.synthesize_band(
         longest, Band.MMWAVE, geom, tree.rng(realization, "mmw", "stochastic")
     )
@@ -214,7 +214,7 @@ def run_realization(cfgs: Sequence[SimConfig], realization: int) -> list[float]:
     # 0-based index of the first data symbol of the shortest training block
     start = 2 * min(c.pilot_symbols_per_direction for c in cfgs)
     # channel constant over time: one data symbol carries the average
-    stop = start + 1 if static else longest.mmw.n_symbols_total
+    stop = start + 1 if static else longest.n_symbols(Band.MMWAVE)
     perf = metrics.perfect_gain_diagonals(
         h_mmw[:, :, :, start:stop], band.tx_power_watt, noise_mmw
     )
@@ -234,7 +234,7 @@ def run_realization(cfgs: Sequence[SimConfig], realization: int) -> list[float]:
             h_data = h_mmw[:, :, :, first_data : first_data + 1]
             perf_diag = perf
         else:
-            end = cfg.mmw.n_symbols_total
+            end = cfg.n_symbols(Band.MMWAVE)
             h_data = h_mmw[:, :, :, first_data:end]
             perf_diag = perf[:, first_data - start : end - start]
         result = metrics.evaluate_link(h_data, design, noise_mmw, perf_diag=perf_diag)

@@ -63,10 +63,13 @@ def _series(rows: list[dict], x_param: str) -> list[tuple[str, list, list]]:
         )
     grouped: dict[tuple[str, str], list[tuple[float, float]]] = {}
     for row in rows:
-        key = (row["method"], row["pilot_k_p"])
-        grouped.setdefault(key, []).append(
-            (float(row[x_param]), float(row["se_mean"]))
-        )
+        point = (float(row[x_param]), float(row["se_mean"]))
+        for column, value in zip((x_param, "se_mean"), point):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"results CSV column {column} must be finite (got {row[column]!r})"
+                )
+        grouped.setdefault((row["method"], row["pilot_k_p"]), []).append(point)
     out = []
     perfect_keys = [k for k in grouped if k[0] == "perfect"]
     for method, k_p in sorted(grouped):

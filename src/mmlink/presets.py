@@ -13,17 +13,12 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .core import Method, SimConfig, default_config
-from .montecarlo import SweepSpec
+from .montecarlo import SweepSpec, apply_point
 
 _KAPPA_GRID = tuple(float(v) for v in range(-20, 31, 5))
 _VELOCITY_GRID = tuple(float(v) for v in range(0, 201, 25))
 _ESTIMATED = ("conventional", "ooba_mrc")
 _PATTERNS = (1, 2, 4)
-
-
-def _with_snr(cfg: SimConfig, snr_db: float) -> SimConfig:
-    offset = cfg.snr_db_sub6 - cfg.snr_db_mmw
-    return replace(cfg, snr_db_mmw=snr_db, snr_db_sub6=snr_db + offset)
 
 
 def _curves(base: SimConfig, sweep_axis: tuple[str, tuple]) -> list[SweepSpec]:
@@ -40,13 +35,13 @@ def _curves(base: SimConfig, sweep_axis: tuple[str, tuple]) -> list[SweepSpec]:
 
 
 def _fig2(snr_db: float) -> list[SweepSpec]:
-    base = _with_snr(default_config(scaled_mmw=True), snr_db)
+    base = apply_point(default_config(scaled_mmw=True), {"snr_db": snr_db})
     return _curves(base, ("k_factor_db", _KAPPA_GRID))
 
 
 def _fig3(k_factor_db: float) -> list[SweepSpec]:
-    base = _with_snr(
-        default_config(scaled_mmw=True, k_factor_sub6_db=k_factor_db), 0.0
+    base = apply_point(
+        default_config(scaled_mmw=True, k_factor_sub6_db=k_factor_db), {"snr_db": 0.0}
     )
     return _curves(base, ("velocity_kmh", _VELOCITY_GRID))
 

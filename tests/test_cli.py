@@ -9,7 +9,7 @@ from mmlink.cli import main
 from mmlink.core import save_config
 from mmlink.plotting import extract_series
 
-from conftest import make_config
+from conftest import MALFORMED_INI, make_config
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -94,6 +94,17 @@ class TestRun:
         )
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("breakage", sorted(MALFORMED_INI))
+    def test_malformed_ini_exits_2(self, breakage, mini_config_path, capsys):
+        with open(mini_config_path) as fh:
+            text = MALFORMED_INI[breakage](fh.read())
+        with open(mini_config_path, "w") as fh:
+            fh.write(text)
+        assert main(["run", "--config", mini_config_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_missing_config_exits_1(self, capsys):
         code = main(["run", "--config", "/nonexistent/path.ini"])
         assert code == 1
@@ -110,9 +121,9 @@ class TestRun:
         assert main(["run", "--preset", "fig99"]) == 2
 
     def test_seed_changes_output(self, mini_config_path, capsys):
-        main(["run", "--config", mini_config_path, "--seed", "1"])
+        main(["run", "--config", mini_config_path, "--set", "master_seed=1"])
         out1 = capsys.readouterr().out
-        main(["run", "--config", mini_config_path, "--seed", "2"])
+        main(["run", "--config", mini_config_path, "--set", "master_seed=2"])
         out2 = capsys.readouterr().out
         assert out1 != out2
 
@@ -219,6 +230,27 @@ class TestPlot:
             "se_stderr,n_realizations\n"
         )
         assert main(["plot", str(path), "--x", "k_factor_db"]) == 2
+
+    @pytest.mark.parametrize(
+        "column, row",
+        [
+            ("se_mean", "0,0,0,1,conventional,inf,0.1,2"),
+            ("se_mean", "0,0,0,1,conventional,nan,0.1,2"),
+            ("k_factor_db", "inf,0,0,1,conventional,3.0,0.1,2"),
+        ],
+    )
+    def test_non_finite_value_exits_2(self, column, row, tmp_path, capsys):
+        path = tmp_path / "res.csv"
+        path.write_text(
+            "k_factor_db,velocity_kmh,snr_db,pilot_k_p,method,se_mean,"
+            f"se_stderr,n_realizations\n0,0,0,1,conventional,2.0,0.1,2\n{row}\n"
+        )
+        out = tmp_path / "chart.svg"
+        assert main(["plot", str(path), "--x", "k_factor_db", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: results CSV column {column} must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_columns_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

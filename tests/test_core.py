@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import os
 from dataclasses import fields, replace
 
 import pytest
@@ -20,10 +21,12 @@ from mmlink.core import (
     load_config,
     save_config,
     validate_config,
-    with_pilot_symbols,
 )
+from mmlink.montecarlo import apply_point
 
-from conftest import make_config
+from conftest import MALFORMED_INI, make_config
+
+SHIPPED_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "table1.cfg")
 
 # (section, field) for every float field: None for [sim], else the band
 FLOAT_FIELDS = [(None, f.name) for f in fields(SimConfig) if f.type == "float"] + [
@@ -63,17 +66,9 @@ class TestValidation:
         cfg = replace(cfg, mmw=replace(cfg.mmw, m_tx=6))
         assert any("K_P must divide m_tx" in m for m in validate_config(cfg))
 
-    def test_non_integer_subcarrier_grid(self):
-        cfg = make_config()
-        bad = replace(cfg.mmw, bandwidth_hz=20e6, subcarrier_spacing_hz=60e3,
-                      n_subcarriers=333)
-        cfg = replace(cfg, mmw=bad)
-        assert any("must equal bandwidth_hz" in m for m in validate_config(cfg))
-
     def test_no_data_symbols(self):
-        cfg = make_config(k_p=4)
-        cfg = replace(cfg, mmw=replace(cfg.mmw, n_symbols_total=8))
-        assert any("no data symbols" in m for m in validate_config(cfg))
+        cfg = make_config(k_p=4, n_data_symbols=0)
+        assert validate_config(cfg) == ["n_data_symbols must be >= 1"]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("section, name", FLOAT_FIELDS)
@@ -158,6 +153,19 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown key 'mystery_knob'"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("breakage", sorted(MALFORMED_INI))
+    def test_malformed_ini_rejected(self, breakage, tmp_path):
+        path = tmp_path / "cfg.ini"
+        save_config(default_config(), str(path))
+        path.write_text(MALFORMED_INI[breakage](path.read_text()))
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    def test_shipped_config_is_the_table1_default(self):
+        cfg = load_config(SHIPPED_CONFIG)
+        assert cfg == default_config(k_factor_sub6_db=20.0)
+        assert validate_config(cfg) == []
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[sim]\n[sub6]\n[mmw]\n[extras]\nx = 1\n")
@@ -192,11 +200,11 @@ class TestConfigFile:
 
 class TestWithPilotSymbols:
     def test_preserves_data_symbols(self):
-        cfg = default_config()  # K_P=2, K=11
+        cfg = default_config()  # K_P=2, K_D=7
         for k_p in (1, 2, 4):
-            out = with_pilot_symbols(cfg, k_p)
-            assert out.mmw.n_symbols_total == 2 * k_p + 7
-            assert out.sub6.n_symbols_total == 2 * k_p
+            out = apply_point(cfg, {"pilot_k_p": k_p})
+            assert out.n_symbols(Band.MMWAVE) == 2 * k_p + 7
+            assert out.n_symbols(Band.SUB6) == 2 * k_p
             assert validate_config(out) == []
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmlink.core import Band, Method, SeedTree, with_pilot_symbols
+from mmlink.core import Band, Method, SeedTree
 from mmlink import channel as ch
 from mmlink import estimation, metrics, pilots, transceiver
 from mmlink.montecarlo import (
@@ -53,7 +53,7 @@ class TestRunRealization:
         """At v=0 injecting the 4-symbol estimate into a 1-symbol frame
         reproduces the 4-symbol SE: the frames differ only in estimation."""
         base = make_config(k_p=1, k_factor_sub6_db=0.0)
-        cfg4 = with_pilot_symbols(base, 4)
+        cfg4 = replace(base, pilot_symbols_per_direction=4)
         r = 0
         tree4 = SeedTree(cfg4.master_seed)
         geom = ch.sample_geometry(
@@ -83,7 +83,7 @@ def _environment_group(**overrides):
     """Every (method, K_P) config at one environment point."""
     base = make_config(k_p=1, **overrides)
     return [
-        replace(with_pilot_symbols(base, k_p), estimation_method=method)
+        replace(base, pilot_symbols_per_direction=k_p, estimation_method=method)
         for method in Method
         for k_p in (1, 2, 4)
     ]
@@ -188,7 +188,7 @@ class TestApplyPoint:
         assert cfg.snr_db_mmw == 10.0
         assert cfg.snr_db_sub6 == pytest.approx(30.0)  # offset preserved
         assert cfg.pilot_symbols_per_direction == 4
-        assert cfg.mmw.n_symbols_total == 2 * 4 + 7
+        assert cfg.n_symbols(Band.MMWAVE) == 2 * 4 + 7
         assert cfg.estimation_method == Method.PERFECT
 
     def test_unknown_parameter(self):

@@ -80,3 +80,19 @@ class TestErrors:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="lacks columns"):
             render_chart(PlotSpec(str(path), "k_factor_db", "o.svg"))
+
+    @pytest.mark.parametrize(
+        "old, new, column",
+        [
+            (",4.5,", ",inf,", "se_mean"),
+            (",4.5,", ",nan,", "se_mean"),
+            ("\n0,0,0,1,ooba_mrc", "\ninf,0,0,1,ooba_mrc", "k_factor_db"),
+        ],
+    )
+    def test_non_finite_value(self, old, new, column, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(CSV.replace(old, new))
+        out = tmp_path / "chart.svg"
+        with pytest.raises(ValueError, match=f"column {column} must be finite"):
+            write_chart(PlotSpec(str(path), "k_factor_db", str(out)))
+        assert not out.exists()
